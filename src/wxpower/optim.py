@@ -19,7 +19,7 @@ from . import tensor as T
 from .data import iter_batches
 from .layers import Rng
 from .metrics import compute_report
-from .models import Model, model_forward, param_count, save_checkpoint
+from .models import Model, _resnet_spatial_plan, model_forward, param_count, save_checkpoint
 
 
 class NumericError(RuntimeError):
@@ -262,7 +262,8 @@ def train(model: Model, dataset, split, config: TrainConfig,
     RMSE backward, L2 gradient, ADAM step; then a full eval-mode pass over
     the train and val splits for the history row. Stage checkpoints and
     history land in out_dir when given. Raises NumericError on the first
-    non-finite loss.
+    non-finite loss, and ValueError before the first step when a ResNet
+    with a 1x1 last stage would get a one-sample batch.
     """
     train_ids, val_ids, stack = list(split.train), list(split.val), split.stack
     if not train_ids or not val_ids:
@@ -271,6 +272,17 @@ def train(model: Model, dataset, split, config: TrainConfig,
     if want_c != model.spec.input_channels:
         raise ValueError(f"model wants {model.spec.input_channels} channels, "
                          f"stack {stack} provides {want_c}")
+
+    if model.spec.family == "resnet":
+        # train-mode batchnorm needs 2 values per channel; a 1x1 last stage
+        # gets one from a single-sample batch and would fail mid-epoch
+        h, w = _resnet_spatial_plan(model.spec)[-1]
+        smallest = len(train_ids) % config.batch_size or config.batch_size
+        if h * w == 1 and smallest == 1:
+            raise ValueError(
+                f"{len(train_ids)} train samples in batches of {config.batch_size} "
+                f"leave a one-sample batch, which batchnorm cannot train at the "
+                f"{h}x{w} last ResNet stage; choose another batch size")
 
     train_means = dataset.targets(train_ids).mean(axis=0)
     if (train_means <= 0).any():

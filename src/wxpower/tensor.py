@@ -311,25 +311,19 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 # Convolution / pooling
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
-            ho: int, wo: int) -> np.ndarray:
-    n, c, _, _ = xp.shape
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, ho, wo, c, kh, kw),
-        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
-        writeable=False,
-    )
-    return windows.reshape(n * ho * wo, c * kh * kw)
-
-
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
            stride: int = 1, pad: int = 0) -> Tensor:
     """2-d cross-correlation over NCHW input with zero padding.
 
     kernel (F, C, kh, kw), bias (F,). Output (N, F, Ho, Wo) with
     Ho = (H + 2*pad - kh)//stride + 1 and likewise Wo.
+
+    One gemm per sample writes its NCHW output; no batch-wide column
+    buffer is built. The backward rule retains only the padded input and
+    recomputes each sample's columns from it. The bias gradient is summed
+    in NHWC row order: behind a batchnorm it is float32 rounding noise
+    whose sign ADAM turns into full lr steps, so another order moves the
+    trained weights.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4 or bias.data.ndim != 1:
         raise ShapeError(f"conv2d: need x NCHW, kernel FCkk, bias F; got {x.shape} {kernel.shape} {bias.shape}")
@@ -352,28 +346,32 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     else:
         xp = x.data
-    cols = _im2col(xp, kh, kw, stride, ho, wo)       # (N*Ho*Wo, C*kh*kw)
+    sn, sc, sh, sw = xp.strides
+    taps = np.lib.stride_tricks.as_strided(           # (N, C, kh, kw, Ho, Wo)
+        xp, shape=(n, c, kh, kw, ho, wo),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
     wmat = kernel.data.reshape(f, -1)
-    out = cols @ wmat.T + bias.data                   # (N*Ho*Wo, F)
-    out = np.ascontiguousarray(out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
-
-    hp, wp = h + 2 * pad, w + 2 * pad
+    out = np.empty((n, f, ho * wo), dtype=x.dtype)
+    for s in range(n):
+        np.matmul(wmat, taps[s].reshape(-1, ho * wo), out=out[s])
+    out += bias.data[:, None]
 
     def rule(g):
-        gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
-        gk = (gm.T @ cols).reshape(kernel.shape)
-        gb = gm.sum(axis=0)
-        dcols = gm @ wmat                             # (N*Ho*Wo, C*kh*kw)
-        dxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-        d6 = dcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + (ho - 1) * stride + 1:stride,
-                    j:j + (wo - 1) * stride + 1:stride] += d6[:, :, i, j]
+        gb = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f).sum(axis=0)
+        gm = g.reshape(n, f, ho * wo)
+        gk = np.zeros_like(wmat)
+        dxp = np.zeros(xp.shape, dtype=g.dtype)
+        for s in range(n):
+            gk += gm[s] @ taps[s].reshape(-1, ho * wo).T
+            d = (wmat.T @ gm[s]).reshape(c, kh, kw, ho, wo)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[s, :, i:i + (ho - 1) * stride + 1:stride,
+                        j:j + (wo - 1) * stride + 1:stride] += d[:, i, j]
         gx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
-        return (gx, gk, gb)
+        return (gx, gk.reshape(kernel.shape), gb)
 
-    return record("conv2d", (x, kernel, bias), out, rule)
+    return record("conv2d", (x, kernel, bias), out.reshape(n, f, ho, wo), rule)
 
 
 def avgpool2d(x: Tensor, k: int, stride: int) -> Tensor:

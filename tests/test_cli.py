@@ -134,6 +134,22 @@ def test_train_resnet_l2_default(pipe, tmp_path):
     assert len((d / "history.csv").read_text().splitlines()) == 2
 
 
+def test_train_rejects_trailing_one_sample_batch(pipe, tmp_path, capsys):
+    # the 20x20 grid leaves the default ResNet's last stage at 1x1, where
+    # batchnorm cannot train on one sample; this fails before the first step
+    n_train = len(D.SplitIndices.load(pipe["splits"]).train)
+    d = tmp_path / "rn1"
+    capsys.readouterr()
+    code = run("train", "--cube", pipe["cube"], "--power", pipe["power"],
+               "--splits", pipe["splits"], "--model", "resnet",
+               "--stage-length", 1, "--epochs", 1, "--batch-size", n_train - 1,
+               "--seed", 1, "--out", d)
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "one-sample batch" in captured.err
+    assert "training resnet" not in captured.out
+    assert not (d / "history.csv").exists()
+
 def test_eval_reports(pipe, tmp_path):
     d = tmp_path / "ev"
     assert run("eval", "--checkpoint", pipe["train"] / "final.wxpm",

@@ -333,3 +333,38 @@ def test_train_requires_positive_train_means():
     split = SplitStub(train=list(range(16)), val=list(range(16, 24)), stack=1)
     with pytest.raises(ValueError):
         O.train(toy_model(), ds, split, quick_config())
+
+
+class CountingDataset(ArrayDataset):
+    def __init__(self, x, y):
+        super().__init__(x, y)
+        self.batches = 0
+
+    def make_batch(self, ids, stack):
+        self.batches += 1
+        return super().make_batch(ids, stack)
+
+
+def test_train_rejects_trailing_one_sample_batch_before_any_step():
+    # 12x12 input, three stages: 6x6 -> 3x3 -> 1x1, so a one-sample batch
+    # gives train-mode batchnorm a single value per channel in the last stage
+    toy = toy_problem(n=24, c=2, hw=12)
+    ds = CountingDataset(toy.x, toy.y)
+    model = M.build_resnet(2, Rng(0), input_hw=(12, 12), stem_width=4,
+                           stage_blocks=(1, 1, 1), stage_widths=(8, 8, 8),
+                           head_hidden=4)
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    split = SplitStub(train=list(range(17)), val=list(range(17, 24)), stack=1)
+    with pytest.raises(ValueError, match="one-sample batch") as err:
+        O.train(model, ds, split, quick_config(batch_size=8, epochs=1))
+    assert not isinstance(err.value, T.ShapeError)
+    assert ds.batches == 0
+    for k, p in model.params.items():
+        npt.assert_array_equal(p.data, before[k])
+    # batch size 1 leaves only one-sample batches
+    with pytest.raises(ValueError, match="one-sample batch"):
+        O.train(model, ds, split, quick_config(batch_size=1, epochs=1))
+    # 16 train samples split into 8 + 8: no singleton, training runs
+    split = SplitStub(train=list(range(16)), val=list(range(16, 24)), stack=1)
+    run = O.train(model, ds, split, quick_config(batch_size=8, epochs=1))
+    assert len(run.history) == 1
