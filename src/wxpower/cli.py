@@ -64,7 +64,6 @@ CONFIG_CASTERS = {
     "timestamp": str, "index": int,
     "hours": int, "grid": int, "noise": float,
     "min_len": int, "source": str,
-    "threads": int,
 }
 
 
@@ -143,24 +142,11 @@ def _write_run_files(out_dir, used: dict, input_paths) -> None:
         fh.write("\n".join(hashes) + ("\n" if hashes else ""))
 
 
-def _limit_threads(n) -> None:
-    if n is None:
-        return
-    if n < 1:
-        raise ConfigError(f"threads must be >= 1, got {n}")
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass  # best effort: BLAS keeps its own default
-
-
 # ---------------------------------------------------------------------------
 # import
 
 def cmd_import(args) -> int:
     r = Resolver(args)
-    _limit_threads(r.get("threads"))
     manifest = r.require("manifest")
     frames_dir = r.get("frames_dir")
     factor = r.get("coarsen", 1)
@@ -197,7 +183,6 @@ def cmd_import(args) -> int:
 
 def cmd_synth(args) -> int:
     r = Resolver(args)
-    _limit_threads(r.get("threads"))
     out_dir = r.require("out")
     try:
         cfg = D.SynthConfig(
@@ -294,7 +279,6 @@ def _eligible(ds: D.AlignedDataset, stack: int, exclude: bool) -> list:
 
 def cmd_split(args) -> int:
     r = Resolver(args)
-    _limit_threads(r.get("threads"))
     stack = r.get("stack", 1)
     seed = r.get("seed", 0)
     exclude = r.get("exclude_anomalies", False)
@@ -306,7 +290,22 @@ def cmd_split(args) -> int:
     print(f"{len(ds)} aligned hours, {len(eligible)} eligible at stack {stack}: "
           f"{len(split.train)} train / {len(split.val)} val / {len(split.test)} test "
           f"-> {out}")
+    flagged = sum(any(f.endswith(("_missing", "_partial"))
+                      for f in ds.power.flags[ds.power_idx[i]]) for i in eligible)
+    print(f"{flagged} of the {len(eligible)} kept hours carry a *_missing or "
+          f"*_partial power flag")
     return EXIT_OK
+
+
+def _load_split(path, ds: D.AlignedDataset) -> D.SplitIndices:
+    """The split file at path; every id in it must be an eligible sample."""
+    split = D.SplitIndices.load(path)
+    eligible = set(ds.eligible_indices(split.stack))
+    bad = [i for i in split.train + split.val + split.test if i not in eligible]
+    if bad:
+        raise D.DataError(f"{path}: ids {bad[:5]} ({len(bad)} in all) are not "
+                          f"eligible samples at stack {split.stack}")
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +331,6 @@ def _charts_from_history(history_path, out_dir) -> None:
 
 def cmd_train(args) -> int:
     r = Resolver(args)
-    _limit_threads(r.get("threads"))
     cube_path = r.require("cube")
     power_path = r.require("power")
     splits_path = r.require("splits")
@@ -345,7 +343,7 @@ def cmd_train(args) -> int:
     cube = D.load_cube(cube_path)
     power = _load_power_any(power_path)
     ds = D.align(cube, power)
-    split = D.SplitIndices.load(splits_path)
+    split = _load_split(splits_path, ds)
     stack = split.stack
     channels = ds.input_channels(stack)
     hw = (cube.shape[2], cube.shape[3])
@@ -383,7 +381,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     r = Resolver(args)
-    _limit_threads(r.get("threads"))
     ckpt_path = r.require("checkpoint")
     cube_path = r.require("cube")
     power_path = r.require("power")
@@ -393,11 +390,11 @@ def cmd_eval(args) -> int:
     if subset not in ("train", "val", "test"):
         raise ConfigError(f"subset must be train, val, or test, got {subset!r}")
 
-    model = M.load_checkpoint(ckpt_path)
     cube = D.load_cube(cube_path)
     power = _load_power_any(power_path)
     ds = D.align(cube, power)
-    split = D.SplitIndices.load(splits_path)
+    split = _load_split(splits_path, ds)
+    model = M.load_checkpoint(ckpt_path)
     train_means = tuple(ds.targets(list(split.train)).mean(axis=0))
 
     ids = list(getattr(split, subset))
@@ -456,24 +453,8 @@ def _write_window(ds, model, stack, ws, we, out_dir) -> None:
 # ---------------------------------------------------------------------------
 # saliency
 
-def _cube_window(cube: D.WeatherCube, index: int, stack: int) -> np.ndarray:
-    offsets = D.STACK_OFFSETS[stack]
-    ts = cube.timestamps
-    blocks = []
-    for off in offsets:
-        k = index + off
-        if k < 0 or k >= len(ts) or ts[k] != ts[index] + off * D.HOUR:
-            raise D.DataError(
-                f"frame {D.format_timestamp(ts[index])} lacks the frame "
-                f"{-off} hours back")
-        blocks.append(cube.frames[k])
-    x = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
-    return x[None]
-
-
 def cmd_saliency(args) -> int:
     r = Resolver(args)
-    _limit_threads(r.get("threads"))
     ckpt_path = r.require("checkpoint")
     cube_path = r.require("cube")
     out_dir = r.require("out")
@@ -499,7 +480,7 @@ def cmd_saliency(args) -> int:
         raise ConfigError(
             f"checkpoint wants {model.spec.input_channels} channels, cube frames "
             f"have {per_frame}: no supported stacking bridges them")
-    x = _cube_window(cube, index, stack)
+    x = D.stacked_input(cube, index, stack)[None]
     when = D.format_timestamp(cube.timestamps[index])
 
     os.makedirs(out_dir, exist_ok=True)
@@ -544,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--seed", type=int)
     common.add_argument("--out", help="output file or directory")
-    common.add_argument("--threads", type=int,
-                        help="cap BLAS threads (best effort)")
 
     parser = argparse.ArgumentParser(
         prog="wxpower",

@@ -39,7 +39,8 @@ HOUR = np.timedelta64(1, "h")
 
 STACK_CHOICES = (1, 5)
 # stack=5 feeds the model the five hours preceding the target hour,
-# oldest first; the target hour's own frame is not part of the input
+# oldest first; the target hour's own frame is not part of the input.
+# Each stack's offsets are consecutive, so its frames are one cube slice.
 STACK_OFFSETS = {1: (0,), 5: (-5, -4, -3, -2, -1)}
 
 
@@ -516,6 +517,34 @@ def load_power(path) -> PowerSeries:
 # ---------------------------------------------------------------------------
 # alignment and samples
 
+def frame_window(cube: WeatherCube, ci: int, stack: int) -> slice | None:
+    """The slice of cube frames that forms the input for target frame ci,
+    or None when one of them is missing.
+
+    Each frame is checked against its own hour, not only the window's span:
+    cube timestamps need not be hourly, so a window whose ends lie the
+    right hours apart can still hold a half-hour stamp.
+    """
+    _check_stack(stack)
+    offsets = STACK_OFFSETS[stack]
+    lo, hi = ci + offsets[0], ci + offsets[-1] + 1
+    ts = cube.timestamps
+    if (lo < 0 or hi > len(ts)
+            or not (ts[lo:hi] == ts[ci] + np.asarray(offsets) * HOUR).all()):
+        return None
+    return slice(lo, hi)
+
+
+def stacked_input(cube: WeatherCube, ci: int, stack: int) -> np.ndarray:
+    """The (stack*C, H, W) model input for target frame ci, oldest frame
+    first: a view of the cube's frames, not a copy."""
+    window = frame_window(cube, ci, stack)
+    if window is None:
+        raise DataError(f"frame {format_timestamp(cube.timestamps[ci])} lacks "
+                        f"an hour-contiguous {stack}-frame input window")
+    return cube.frames[window].reshape(-1, *cube.shape[2:])
+
+
 class AlignedDataset:
     """Cube frames paired with power targets on their common hours."""
 
@@ -551,34 +580,11 @@ class AlignedDataset:
 
     def eligible_indices(self, stack: int) -> list[int]:
         """Sample ids whose full input window exists hour-contiguously."""
-        _check_stack(stack)
-        offsets = STACK_OFFSETS[stack]
-        ts = self.cube.timestamps
-        out = []
-        for i, ci in enumerate(self.cube_idx):
-            ok = True
-            for off in offsets:
-                k = ci + off
-                if k < 0 or k >= len(ts) or ts[k] != ts[ci] + off * HOUR:
-                    ok = False
-                    break
-            if ok:
-                out.append(i)
-        return out
+        return [i for i, ci in enumerate(self.cube_idx)
+                if frame_window(self.cube, int(ci), stack) is not None]
 
     def sample_input(self, i: int, stack: int) -> np.ndarray:
-        _check_stack(stack)
-        ci = int(self.cube_idx[i])
-        ts = self.cube.timestamps
-        blocks = []
-        for off in STACK_OFFSETS[stack]:
-            k = ci + off
-            if k < 0 or k >= len(ts) or ts[k] != ts[ci] + off * HOUR:
-                raise DataError(
-                    f"sample {i} ({format_timestamp(ts[ci])}) lacks the frame "
-                    f"{-off} hours back")
-            blocks.append(self.cube.frames[k])
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
+        return stacked_input(self.cube, int(self.cube_idx[i]), stack)
 
     def make_sample(self, i: int, stack: int) -> tuple[T.Tensor, np.ndarray]:
         x = T.Tensor(self.sample_input(i, stack).copy())

@@ -169,7 +169,8 @@ def record(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     An op is recorded when any input is a grad-requiring leaf or was itself
     produced by an op on the active tape, so chains stay connected. `rule`
     maps the output gradient to one gradient (or None) per input, in order,
-    and runs exactly once per backward() call. Public so layers can register
+    and runs at most once per backward() call: not at all when no gradient
+    reaches the op's output. Public so layers can register
     fused ops (batchnorm, losses) without touching tape internals.
     """
     out = Tensor(out_data, requires_grad=False)
@@ -491,9 +492,9 @@ def backward(tape: Tape, seed: Tensor) -> None:
     """Accumulate d(final)/d(leaf) into .grad of every requiring leaf.
 
     `seed` must match the final op's output shape (the usual call seeds a
-    1-element loss with ones). Each recorded rule runs exactly once, in
-    reverse order; ops whose output received no gradient run with zeros so
-    their leaves still get (zero) gradients deposited.
+    1-element loss with ones). Rules run in reverse order, each at most
+    once: an op whose output received no gradient is skipped, and leaves
+    that no gradient reaches get zeros deposited.
     """
     if not tape.ops:
         return
@@ -503,18 +504,17 @@ def backward(tape: Tape, seed: Tensor) -> None:
     if seed.dtype != final.dtype:
         raise ShapeError(f"backward: seed dtype {seed.dtype} != final output {final.dtype}")
 
-    produced = {id(op.output) for op in tape.ops}
     leaves: dict[int, Tensor] = {}
     for op in tape.ops:
         for t in op.inputs:
-            if t.requires_grad and id(t) not in produced:
+            if t.requires_grad and id(t) not in tape._produced:
                 leaves[id(t)] = t
 
     grads: dict[int, np.ndarray] = {id(final): seed.data.copy()}
     for op in reversed(tape.ops):
         g = grads.pop(id(op.output), None)
         if g is None:
-            g = np.zeros_like(op.output.data)
+            continue
         in_grads = op.rule(g)
         if len(in_grads) != len(op.inputs):
             raise RuntimeError(f"op {op.name}: rule returned {len(in_grads)} grads for {len(op.inputs)} inputs")

@@ -5,6 +5,8 @@ import pytest
 
 from wxpower import cli
 from wxpower import data as D
+from wxpower import models as M
+from wxpower.layers import Rng
 
 
 def run(*argv):
@@ -94,6 +96,46 @@ def test_split_file(pipe):
     n = len(split.train) + len(split.val) + len(split.test)
     assert n == 120
     assert len(split.test) == 12 and len(split.val) == 12
+
+
+def test_split_counts_kept_flagged_hours(pipe, tmp_path, capsys):
+    # drop every reading of one hour: both sources get a *_missing flag
+    lines = pipe["power"].read_text().splitlines(keepends=True)
+    gapped = tmp_path / "gapped.csv"
+    gapped.write_text("".join(ln for ln in lines
+                              if not ln.startswith("2019-01-02T05:")))
+    capsys.readouterr()
+    assert run("split", "--cube", pipe["cube"], "--power", gapped,
+               "--out", tmp_path / "kept.txt") == 0
+    assert ("1 of the 120 kept hours carry a *_missing or *_partial power flag"
+            in capsys.readouterr().out)
+    assert run("split", "--cube", pipe["cube"], "--power", gapped,
+               "--exclude-anomalies", "--out", tmp_path / "clean.txt") == 0
+    assert "0 of the 119 kept hours" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad_id", [999, -3, 1])
+def test_train_and_eval_reject_ineligible_split_ids(pipe, tmp_path, capsys, bad_id):
+    # 999 lies past the data, -3 would index it from the end, and 1 lacks
+    # five prior hours; each is refused before a model is built
+    split = D.SplitIndices.load(pipe["splits"])
+    usable = [tuple(i for i in ids if i >= 5)
+              for ids in (split.train, split.val, split.test)]
+    splits = tmp_path / "splits5.txt"
+    D.SplitIndices(usable[0] + (bad_id,), usable[1], usable[2], 3, 5).save(splits)
+    capsys.readouterr()
+    d = tmp_path / "run"
+    assert run("train", "--cube", pipe["cube"], "--power", pipe["power"],
+               "--splits", splits, "--model", "linear", "--seed", 0,
+               "--out", d) == cli.EXIT_DATA
+    assert run("eval", "--checkpoint", pipe["train"] / "final.wxpm",
+               "--cube", pipe["cube"], "--power", pipe["power"],
+               "--splits", splits, "--out", tmp_path / "ev") == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.count(
+        f"ids [{bad_id}] (1 in all) are not eligible samples at stack 5") == 2
+    assert "training" not in captured.out
+    assert not (d / "history.csv").exists()
 
 
 def test_train_artifacts(pipe):
@@ -197,6 +239,21 @@ def test_saliency_by_timestamp_and_index_agree(pipe, tmp_path):
     for name in names:
         assert (a / name).exists() and (b / name).exists()
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_saliency_window_across_a_gap(pipe, tmp_path):
+    cube = D.load_cube(pipe["cube"])
+    keep = np.arange(cube.shape[0]) != 40
+    gapped = tmp_path / "gapped.wxc"
+    D.save_cube(D.WeatherCube(cube.frames[keep], cube.timestamps[keep], cube.bands,
+                              cube.mask, normalized=True), gapped)
+    ckpt = tmp_path / "stack5.wxpm"
+    M.save_checkpoint(M.build_linear(30, Rng(0), input_hw=(20, 20), fc_widths=(4,)),
+                      ckpt)
+    base = ["saliency", "--checkpoint", ckpt, "--cube", gapped]
+    # frame 42 (hour 43) needs hours 38..42, and hour 40 is gone
+    assert run(*base, "--index", 42, "--out", tmp_path / "gap") == cli.EXIT_DATA
+    assert run(*base, "--index", 50, "--out", tmp_path / "ok") == 0
 
 
 def test_saliency_unknown_timestamp(pipe, tmp_path):

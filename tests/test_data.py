@@ -434,6 +434,47 @@ def test_sample_input_stacks_oldest_first():
         ds.sample_input(3, 5)
 
 
+def test_window_checks_each_frame_hour_not_only_the_span():
+    # target 05:00 whose five prior frames are stamped t-5h, t-4.5h, t-3h,
+    # t-2h, t-1h: the window spans 5 h, yet it lacks the 01:00 frame
+    stamps = ["2019-01-01T00:00:00", "2019-01-01T00:30:00"] + [
+        f"2019-01-01T{h:02d}:00:00" for h in range(2, 6)]
+    cube = D.WeatherCube(np.zeros((6, 6, 2, 2), np.float32),
+                         [D.parse_timestamp(s) for s in stamps], D.BANDS,
+                         np.zeros((2, 2), bool))
+    assert D.frame_window(cube, 5, 5) is None
+    assert D.frame_window(cube, 5, 1) == slice(5, 6)
+    power = D.PowerSeries(hours("2019-01-01T00:00:00", 6), np.ones(6), np.ones(6),
+                          [set() for _ in range(6)])
+    ds = D.align(cube, power)
+    assert ds.eligible_indices(5) == []
+    with pytest.raises(D.DataError):
+        ds.sample_input(len(ds) - 1, 5)
+
+
+@pytest.mark.parametrize("stack", [1, 5])
+def test_sample_input_is_a_view_of_the_stacked_frames(stack):
+    full = small_cube(t=16, seed=3)
+    keep = np.arange(16) != 7
+    cube = D.WeatherCube(full.frames[keep], full.timestamps[keep], full.bands,
+                         full.mask)
+    power = D.PowerSeries(hours("2019-01-01T00:00:00", 16), np.ones(16),
+                          np.ones(16), [set() for _ in range(16)])
+    ds = D.align(cube, power)
+    ts = cube.timestamps
+    offsets = D.STACK_OFFSETS[stack]
+    want = [i for i, ci in enumerate(ds.cube_idx)
+            if all(0 <= ci + off < len(ts) and ts[ci + off] == ts[ci] + off * D.HOUR
+                   for off in offsets)]
+    assert want and ds.eligible_indices(stack) == want
+    for i in want:
+        ci = ds.cube_idx[i]
+        x = ds.sample_input(i, stack)
+        npt.assert_array_equal(
+            x, np.concatenate([cube.frames[ci + off] for off in offsets], axis=0))
+        assert np.shares_memory(x, cube.frames)
+
+
 def test_make_batch_shapes_and_targets():
     ds = aligned_fixture(t=20)
     x, y = ds.make_batch([6, 7, 9], 5)

@@ -245,6 +245,24 @@ def test_unreached_branch_gets_zero_grad():
     npt.assert_allclose(w.grad, [6.0, 8.0])
 
 
+def test_unreached_op_rule_never_runs():
+    x = t64([1.0, 2.0])
+    w = t64([3.0, 4.0])
+    calls = []
+
+    def rule(g):
+        calls.append(g)
+        return (g,)
+
+    with T.Tape() as tape:
+        T.record("side", (w,), w.data * 2.0, rule)   # output feeds nothing
+        T.reduce_sum(T.mul(x, x))
+        T.backward(tape, T.create([1], 1.0, dtype=np.float64))
+    assert calls == []
+    npt.assert_allclose(w.grad, [0.0, 0.0])
+    npt.assert_allclose(x.grad, [2.0, 4.0])
+
+
 def test_grad_accumulates_across_backward_calls():
     x = t64([1.0, 2.0])
     for _ in range(2):
