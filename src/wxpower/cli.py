@@ -161,9 +161,8 @@ def cmd_import(args) -> int:
         print(f"coarsened x{factor} to {cube.shape[2]}x{cube.shape[3]} px")
     if radius > 0:
         mask = cube.mask | D.corner_mask(cube.shape[2], cube.shape[3], radius)
-        frames = cube.frames.copy()
-        frames[:, :, mask] = 0.0
-        cube = D.WeatherCube(frames, cube.timestamps, cube.bands, mask)
+        cube.frames[:, :, mask] = 0.0  # this command owns the cube
+        cube = D.WeatherCube(cube.frames, cube.timestamps, cube.bands, mask)
         print(f"corner radius {radius}: {int(mask.sum())} px masked")
 
     os.makedirs(out_dir, exist_ok=True)

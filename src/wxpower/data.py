@@ -37,6 +37,10 @@ _FLAG_NORMALIZED = 1
 
 HOUR = np.timedelta64(1, "h")
 
+# float64 values per working block in fit_normalizer and apply_normalizer:
+# their working set is one block (16 MB), not the whole cube
+_CHUNK_VALUES = 1 << 21
+
 STACK_CHOICES = (1, 5)
 # stack=5 feeds the model the five hours preceding the target hour,
 # oldest first; the target hour's own frame is not part of the input.
@@ -127,7 +131,9 @@ def load_frames(manifest_path, frames_dir=None) -> WeatherCube:
     taken relative to frames_dir (default: the manifest's directory).
     Frame files hold channels*height*width float32 little-endian values,
     channel-major. Pixels that are NaN in any frame/band join the static
-    mask and read as 0 in the raw cube.
+    mask and read as 0 in the raw cube; a +-inf value is an error. Each
+    frame is checked and cleaned as it is read, so the cube is the only
+    full-size array.
     """
     base = frames_dir if frames_dir is not None else os.path.dirname(os.fspath(manifest_path))
     rows = []
@@ -161,6 +167,7 @@ def load_frames(manifest_path, frames_dir=None) -> WeatherCube:
         raise DataError(f"expected {len(BANDS)} channels, manifest says {c0}")
 
     frames = np.empty((len(rows), c0, h0, w0), dtype=np.float32)
+    mask = np.zeros((h0, w0), dtype=bool)
     for i, (ts, rel, h, w, c) in enumerate(rows):
         path = os.path.join(base, rel)
         try:
@@ -169,11 +176,14 @@ def load_frames(manifest_path, frames_dir=None) -> WeatherCube:
             raise DataError(f"cannot read frame file {path}: {e}") from e
         if raw.size != c * h * w:
             raise DataError(f"{path}: has {raw.size} values, expected {c * h * w}")
-        frames[i] = raw.reshape(c, h, w)
-
-    mask = np.isnan(frames).any(axis=(0, 1))
-    if mask.any():
-        frames = np.nan_to_num(frames, nan=0.0)
+        frame = frames[i]
+        frame[...] = raw.reshape(c, h, w)
+        bad = ~np.isfinite(frame)
+        if bad.any():
+            if np.isinf(frame).any():
+                raise DataError(f"{path}: frame holds +-inf")
+            mask |= bad.any(axis=0)
+            frame[bad] = 0.0
     ts = np.array([r[0] for r in rows], dtype="datetime64[s]")
     return WeatherCube(frames, ts, BANDS, mask)
 
@@ -263,14 +273,42 @@ class NormalizerStats:
 def fit_normalizer(cube: WeatherCube) -> NormalizerStats:
     """Per-band mean/std over every frame's unmasked pixels (float64).
 
+    Two passes (sum, then sum of squared deviations) stream over blocks of
+    pixels, so only one block is ever held in float64. A block is laid out
+    (pixel, time, band) behind one leading slot that carries the running
+    total and is otherwise -0.0, which leaves a sum unchanged. numpy then
+    adds every value in the order of the whole-cube
+    `frames[:, :, keep].astype(float64).mean(axis=(0, 2))` and `.std()`,
+    so the statistics, and the normalized cube, are bit-identical to it.
     A band with ~zero spread keeps std 1.0 so normalization is a pure shift.
     """
-    keep = ~cube.mask
-    if not keep.any():
+    keep = np.flatnonzero(~cube.mask)
+    if not keep.size:
         raise DataError("cannot fit normalizer: every pixel is masked")
-    vals = cube.frames[:, :, keep].astype(np.float64)  # (T, C, P)
-    means = vals.mean(axis=(0, 2))
-    stds = vals.std(axis=(0, 2))
+    t, c = cube.shape[:2]
+    if not t:
+        raise DataError("cannot fit normalizer: the cube has no frames")
+    flat = cube.frames.reshape(t, c, -1)
+    step = max(1, _CHUNK_VALUES // max(1, t * c))
+    n = t * keep.size
+
+    def band_sums(shift):
+        total = np.full(c, -0.0)
+        for lo in range(0, keep.size, step):
+            pixels = keep[lo:lo + step]
+            block = np.empty((pixels.size + 1, t, c))
+            block[0] = -0.0
+            block[0, 0] = total
+            vals = block[1:]
+            vals[...] = np.take(flat, pixels, axis=2).transpose(2, 0, 1)
+            if shift is not None:
+                vals -= shift
+                np.square(vals, out=vals)
+            total = block.sum(axis=(0, 1))
+        return total
+
+    means = band_sums(None) / n
+    stds = np.sqrt(band_sums(means) / n)
     stds = np.where(stds < 1e-12, 1.0, stds)
     return NormalizerStats(cube.bands, tuple(float(m) for m in means),
                            tuple(float(s) for s in stds))
@@ -279,17 +317,23 @@ def fit_normalizer(cube: WeatherCube) -> NormalizerStats:
 def apply_normalizer(cube: WeatherCube, stats: NormalizerStats) -> WeatherCube:
     """Center/scale each band; masked pixels come out exactly 0.
 
-    The shift happens in float64, one band at a time: subtracting a large
-    offset (pressure sits near 1e5) in float32 would leave quantization
-    residue well above the 1e-5 post-normalization mean bound.
+    The shift happens in float64, one time chunk at a time: subtracting a
+    large offset (pressure sits near 1e5) in float32 would leave
+    quantization residue well above the 1e-5 post-normalization mean bound.
     """
     if stats.bands != cube.bands:
         raise DataError(f"stats bands {stats.bands} != cube bands {cube.bands}")
+    means = np.array(stats.means)[:, None, None]
+    stds = np.array(stats.stds)[:, None, None]
     frames = np.empty_like(cube.frames)
-    for c in range(cube.shape[1]):
-        band = cube.frames[:, c].astype(np.float64)
-        frames[:, c] = ((band - stats.means[c]) / stats.stds[c]).astype(np.float32)
-    frames[:, :, cube.mask] = 0.0
+    step = max(1, _CHUNK_VALUES // max(1, np.prod(cube.shape[1:])))
+    for lo in range(0, cube.shape[0], step):
+        hi = lo + step
+        chunk = cube.frames[lo:hi].astype(np.float64)
+        chunk -= means
+        chunk /= stds
+        frames[lo:hi] = chunk
+        frames[lo:hi, :, cube.mask] = 0.0
     return WeatherCube(frames, cube.timestamps, cube.bands, cube.mask,
                        normalized=True)
 
@@ -312,7 +356,7 @@ def save_cube(cube: WeatherCube, path) -> None:
             et = format_timestamp(ts).encode("utf-8")
             fh.write(struct.pack("<I", len(et)))
             fh.write(et)
-        fh.write(cube.frames.astype("<f4").tobytes())
+        fh.write(np.ascontiguousarray(cube.frames, dtype="<f4").data)
 
 
 def _need(fh, n: int, path) -> bytes:
@@ -341,10 +385,12 @@ def load_cube(path) -> WeatherCube:
         for _ in range(t):
             (ln,) = struct.unpack("<I", _need(fh, 4, path))
             stamps.append(parse_timestamp(_need(fh, ln, path).decode("utf-8")))
-        frames = np.frombuffer(_need(fh, 4 * t * c * h * w, path), dtype="<f4")
+        frames = np.fromfile(fh, dtype="<f4", count=t * c * h * w)
+        if frames.size != t * c * h * w:
+            raise DataError(f"{path}: truncated cube file")
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes")
-    return WeatherCube(frames.reshape(t, c, h, w).copy(), stamps, bands, mask,
+    return WeatherCube(frames.reshape(t, c, h, w), stamps, bands, mask,
                        normalized=bool(flags & _FLAG_NORMALIZED))
 
 
@@ -569,8 +615,15 @@ class AlignedDataset:
     def __len__(self) -> int:
         return len(self.cube_idx)
 
+    def _check_ids(self, ids: np.ndarray) -> None:
+        # numpy would read a negative id from the end: another hour
+        bad = ids[(ids < 0) | (ids >= len(self))]
+        if bad.size:
+            raise DataError(f"sample ids {bad[:5].tolist()} outside 0..{len(self) - 1}")
+
     def targets(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=int)
+        self._check_ids(ids)
         return np.stack([self.power.solar[self.power_idx[ids]],
                          self.power.wind[self.power_idx[ids]]], axis=1)
 
@@ -584,6 +637,7 @@ class AlignedDataset:
                 if frame_window(self.cube, int(ci), stack) is not None]
 
     def sample_input(self, i: int, stack: int) -> np.ndarray:
+        self._check_ids(np.array([i]))
         return stacked_input(self.cube, int(self.cube_idx[i]), stack)
 
     def make_sample(self, i: int, stack: int) -> tuple[T.Tensor, np.ndarray]:

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -81,6 +82,37 @@ def test_import_deterministic(pipe, tmp_path):
     assert run("import", "--manifest", pipe["synth"] / "manifest.csv",
                "--out", out) == 0
     assert (out / "cube.wxc").read_bytes() == pipe["cube"].read_bytes()
+
+
+def test_import_rejects_an_inf_frame_and_writes_no_cube(pipe, tmp_path):
+    frames = tmp_path / "frames"
+    shutil.copytree(pipe["synth"] / "frames", frames)
+    shutil.copy(pipe["synth"] / "manifest.csv", tmp_path / "manifest.csv")
+    victim = sorted(frames.iterdir())[7]
+    vals = np.fromfile(victim, dtype="<f4")
+    vals[123] = np.inf
+    vals.tofile(victim)
+    out = tmp_path / "imp"
+    assert run("import", "--manifest", tmp_path / "manifest.csv",
+               "--out", out) == cli.EXIT_DATA
+    assert not (out / "cube.wxc").exists()
+
+
+def test_import_corner_radius_masks_before_normalizing(pipe, tmp_path):
+    out = tmp_path / "cornered"
+    assert run("import", "--manifest", pipe["synth"] / "manifest.csv",
+               "--corner-radius", 5, "--out", out) == 0
+    raw = D.load_frames(pipe["synth"] / "manifest.csv")
+    mask = raw.mask | D.corner_mask(20, 20, 5)
+    assert (mask != raw.mask).any()
+    frames = raw.frames.copy()
+    frames[:, :, mask] = 0.0
+    want = D.WeatherCube(frames, raw.timestamps, raw.bands, mask)
+    stats = D.fit_normalizer(want)
+    assert D.NormalizerStats.load(out / "normalizer.txt") == stats
+    got = D.load_cube(out / "cube.wxc")
+    assert (got.mask == mask).all()
+    assert got.frames.tobytes() == D.apply_normalizer(want, stats).frames.tobytes()
 
 
 def test_import_coarsen(pipe, tmp_path):

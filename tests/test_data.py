@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -120,6 +121,61 @@ def test_load_frames_errors(tmp_path):
         D.load_frames(gone)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_load_frames_rejects_inf(tmp_path, bad, with_nan):
+    def value_fn(i):
+        arr = np.full((6, 4, 5), float(i), dtype="<f4")
+        if i == 1:
+            arr[2, 1, 1] = bad
+        return arr
+
+    man = write_frames(tmp_path, ["2019-01-01T00:00:00", "2019-01-01T01:00:00"],
+                       value_fn=value_fn, nan_at=(0, 0) if with_nan else None)
+    with pytest.raises(D.DataError, match="f1.bin"):
+        D.load_frames(man)
+
+
+def test_load_frames_masks_nan_pixels_of_any_frame(tmp_path):
+    # a pixel NaN in one frame only is masked in every frame; only its NaN
+    # values become 0, its other values stay raw
+    def value_fn(i):
+        arr = np.full((6, 4, 5), float(i + 1), dtype="<f4")
+        if i == 1:
+            arr[3, 2, 4] = np.nan
+        if i == 2:
+            arr[:, 0, 1] = np.nan
+        return arr
+
+    man = write_frames(tmp_path, [f"2019-01-01T0{i}:00:00" for i in range(3)],
+                       value_fn=value_fn)
+    cube = D.load_frames(man)
+    want = np.zeros((4, 5), bool)
+    want[2, 4] = want[0, 1] = True
+    npt.assert_array_equal(cube.mask, want)
+    assert cube.frames[1, 3, 2, 4] == 0.0 and cube.frames[1, 2, 2, 4] == 2.0
+    assert cube.frames[0, 3, 2, 4] == 1.0 and cube.frames[2, 3, 2, 4] == 3.0
+    npt.assert_array_equal(cube.frames[2, :, 0, 1], 0.0)
+    npt.assert_array_equal(cube.frames[:2, :, 0, 1], [[1.0] * 6, [2.0] * 6])
+
+
+def test_load_frames_peak_is_the_cube(tmp_path):
+    t, c, h, w = 256, 6, 8, 8
+    man = write_frames(tmp_path, hours("2019-01-01T00:00:00", t).astype(str), h=h, w=w,
+                       value_fn=lambda i: np.full((c, h, w), float(i)), nan_at=(1, 1))
+    cube_bytes = t * c * h * w * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cube = D.load_frames(man)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert cube.mask[1, 1] and cube.mask.sum() == 1
+    # the cube itself plus per-frame temporaries; no whole-cube copy
+    assert peak < 1.25 * cube_bytes, (peak, cube_bytes)
+
+
 # ---------------------------------------------------------------------------
 # coarsen
 
@@ -192,6 +248,131 @@ def test_fit_apply_normalizer():
     npt.assert_array_equal(norm.frames[:, :, mask], 0.0)
 
 
+def reference_stats(cube):
+    """Two-pass float64 mean/std over each band's unmasked pixels."""
+    keep = ~cube.mask
+    means, stds = [], []
+    for c in range(cube.shape[1]):
+        v = cube.frames[:, c][:, keep].astype(np.float64).ravel()
+        m = v.mean()
+        s = np.sqrt(((v - m) ** 2).mean())
+        means.append(m)
+        stds.append(s if s >= 1e-12 else 1.0)
+    return np.array(means), np.array(stds)
+
+
+def physical_cube(t, h=5, w=7, mask=None, seed=0):
+    """Bands at their physical offsets and scales (pressure near 1e5)."""
+    rng = np.random.default_rng(seed)
+    offsets = np.array([1.01e5, 290.0, 0.008, 8.0, 180.0, 50.0])[:, None, None]
+    scales = np.array([200.0, 7.0, 0.002, 4.0, 100.0, 37.0])[:, None, None]
+    frames = (offsets + scales * rng.normal(size=(t, 6, h, w))).astype(np.float32)
+    if mask is None:
+        mask = np.zeros((h, w), bool)
+    return D.WeatherCube(frames, hours("2019-01-01T00:00:00", t), D.BANDS, mask)
+
+
+def whole_cube_stats(cube):
+    """The one-shot formula: every unmasked value in float64 at once."""
+    vals = cube.frames[:, :, ~cube.mask].astype(np.float64)
+    stds = vals.std(axis=(0, 2))
+    return vals.mean(axis=(0, 2)), np.where(stds < 1e-12, 1.0, stds)
+
+
+def check_fit(cube):
+    stats = D.fit_normalizer(cube)
+    means, stds = reference_stats(cube)
+    npt.assert_allclose(stats.means, means, rtol=1e-12, atol=0)
+    npt.assert_allclose(stats.stds, stds, rtol=1e-12, atol=0)
+    means, stds = whole_cube_stats(cube)
+    assert stats.means == tuple(means) and stats.stds == tuple(stds)
+    return stats
+
+
+# pixels per fit_normalizer block: all 35, 4 (35 = 8 blocks + 3), 16
+# (35 = 2 blocks + 3) and 1
+BLOCK_PIXELS = [None, 4, 16, 1]
+
+
+@pytest.mark.parametrize("pixels", BLOCK_PIXELS)
+@pytest.mark.parametrize("t", [1, 9, 70])
+def test_fit_normalizer_matches_two_pass_and_whole_cube(monkeypatch, t, pixels):
+    if pixels is not None:
+        monkeypatch.setattr(D, "_CHUNK_VALUES", pixels * t * 6)
+    check_fit(physical_cube(t, seed=t))
+
+
+@pytest.mark.parametrize("pixels", BLOCK_PIXELS)
+def test_fit_normalizer_constant_band_over_blocks(monkeypatch, pixels):
+    t = 21
+    if pixels is not None:
+        monkeypatch.setattr(D, "_CHUNK_VALUES", pixels * t * 6)
+    cube = physical_cube(t)
+    cube.frames[:, 4] = 123.5
+    stats = check_fit(cube)
+    assert stats.means[4] == 123.5 and stats.stds[4] == 1.0
+
+
+@pytest.mark.parametrize("pixels", BLOCK_PIXELS)
+def test_fit_normalizer_excludes_masked_pixels(monkeypatch, pixels):
+    t = 13
+    if pixels is not None:
+        monkeypatch.setattr(D, "_CHUNK_VALUES", pixels * t * 6)
+    mask = np.zeros((5, 7), bool)
+    mask[0, :4] = mask[4, 6] = mask[2, 3] = True
+    cube = physical_cube(t, mask=mask, seed=2)
+    cube.frames[:, :, mask] = 1e9  # would dominate every statistic if counted
+    stats = check_fit(cube)
+    assert max(stats.stds) < 1e3
+
+
+def test_fit_normalizer_needs_frames():
+    cube = physical_cube(3)
+    empty = D.WeatherCube(cube.frames[:0], cube.timestamps[:0], cube.bands, cube.mask)
+    with pytest.raises(D.DataError, match="no frames"):
+        D.fit_normalizer(empty)
+
+
+@pytest.mark.parametrize("frames_per_chunk", [None, 1, 4])
+@pytest.mark.parametrize("t", [1, 11])
+def test_apply_normalizer_matches_whole_band_formula(monkeypatch, t, frames_per_chunk):
+    if frames_per_chunk is not None:  # 11 frames = 2 chunks of 4 + 3
+        monkeypatch.setattr(D, "_CHUNK_VALUES", frames_per_chunk * 6 * 5 * 7)
+    mask = D.corner_mask(5, 7, 2)
+    cube = physical_cube(t, mask=mask, seed=5)
+    stats = D.fit_normalizer(cube)
+    want = np.empty_like(cube.frames)
+    for c in range(6):
+        band = cube.frames[:, c].astype(np.float64)
+        want[:, c] = ((band - stats.means[c]) / stats.stds[c]).astype(np.float32)
+    want[:, :, mask] = 0.0
+    got = D.apply_normalizer(cube, stats).frames
+    assert got.tobytes() == want.tobytes()
+
+
+def test_normalizer_peaks_stay_a_block_above_the_cube(monkeypatch):
+    # a 128 KB block against a 3 MB cube: the working set must follow the
+    # block, not the cube
+    monkeypatch.setattr(D, "_CHUNK_VALUES", 1 << 14, raising=False)
+    cube = physical_cube(2048, h=8, w=8, seed=7)
+    cube_bytes = cube.frames.nbytes
+
+    def peak_of(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    stats, fit_peak = peak_of(lambda: D.fit_normalizer(cube))
+    assert fit_peak < cube_bytes / 4, (fit_peak, cube_bytes)
+    # the normalized cube is the output; only one chunk rides on top
+    _, apply_peak = peak_of(lambda: D.apply_normalizer(cube, stats))
+    assert apply_peak < 1.25 * cube_bytes, (apply_peak, cube_bytes)
+
+
 def test_normalizer_constant_band_shift_only():
     cube = small_cube(t=4)
     cube.frames[:, 1] = 7.25
@@ -231,6 +412,26 @@ def test_cube_file_roundtrip(tmp_path):
     assert again.bands == norm.bands
     assert (again.timestamps == norm.timestamps).all()
     assert again.normalized
+
+
+def test_cube_file_frames_are_the_raw_little_endian_bytes(tmp_path):
+    cube = physical_cube(67, mask=D.corner_mask(5, 7, 2), seed=8)
+    p = tmp_path / "cube.wxc"
+    D.save_cube(cube, p)
+    whole = p.read_bytes()
+    assert whole.endswith(cube.frames.astype("<f4").tobytes())
+    again = D.load_cube(p)
+    assert again.frames.tobytes() == cube.frames.tobytes()
+    assert again.frames.flags.c_contiguous and again.frames.flags.writeable
+    D.save_cube(again, tmp_path / "again.wxc")
+    assert (tmp_path / "again.wxc").read_bytes() == whole
+    for cut in (1, 4 * 7, len(whole) - 4 * cube.frames.size + 2):
+        p.write_bytes(whole[:-cut])
+        with pytest.raises(D.DataError, match="truncated"):
+            D.load_cube(p)
+    p.write_bytes(whole + b"\0")
+    with pytest.raises(D.DataError, match="trailing bytes"):
+        D.load_cube(p)
 
 
 def test_cube_file_rejects_garbage(tmp_path):
@@ -473,6 +674,17 @@ def test_sample_input_is_a_view_of_the_stacked_frames(stack):
         npt.assert_array_equal(
             x, np.concatenate([cube.frames[ci + off] for off in offsets], axis=0))
         assert np.shares_memory(x, cube.frames)
+
+
+@pytest.mark.parametrize("bad", [-3, -1, 20])
+def test_sample_ids_outside_the_dataset_are_rejected(bad):
+    ds = aligned_fixture(t=20)
+    with pytest.raises(D.DataError, match="outside 0..19"):
+        ds.targets([6, bad])
+    with pytest.raises(D.DataError, match="outside 0..19"):
+        ds.sample_input(bad, 1)
+    with pytest.raises(D.DataError, match="outside 0..19"):
+        ds.make_batch([6, bad], 1)
 
 
 def test_make_batch_shapes_and_targets():

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from wxpower import data as D
 from wxpower import models as M
 from wxpower import optim as O
 from wxpower import tensor as T
@@ -368,3 +369,40 @@ def test_train_rejects_trailing_one_sample_batch_before_any_step():
     split = SplitStub(train=list(range(16)), val=list(range(16, 24)), stack=1)
     run = O.train(model, ds, split, quick_config(batch_size=8, epochs=1))
     assert len(run.history) == 1
+
+
+def aligned_toy(t=24, hw=4):
+    rng = np.random.default_rng(4)
+    stamps = D.parse_timestamp("2019-01-01T00:00:00") + np.arange(t) * D.HOUR
+    frames = rng.normal(size=(t, len(D.BANDS), hw, hw)).astype(np.float32)
+    cube = D.WeatherCube(frames, stamps, D.BANDS, np.zeros((hw, hw), bool))
+    power = D.PowerSeries(stamps, rng.uniform(1, 2, t), rng.uniform(1, 2, t),
+                          [set() for _ in range(t)])
+    return D.align(cube, power)
+
+
+class CountingAligned(D.AlignedDataset):
+    batches = 0
+
+    def make_batch(self, ids, stack):
+        self.batches += 1
+        return super().make_batch(ids, stack)
+
+
+def test_train_rejects_a_negative_sample_id_before_any_step():
+    toy = aligned_toy()
+    ds = CountingAligned(toy.cube, toy.power)
+    model = toy_model(c=len(D.BANDS))
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    split = SplitStub(train=list(range(15)) + [-3], val=list(range(16, 24)), stack=1)
+    with pytest.raises(D.DataError, match="-3"):
+        O.train(model, ds, split, quick_config(epochs=1))
+    assert ds.batches == 0
+    for k, p in model.params.items():
+        npt.assert_array_equal(p.data, before[k])
+
+
+def test_evaluate_rejects_a_negative_sample_id():
+    ds = aligned_toy()
+    with pytest.raises(D.DataError, match="-3"):
+        O.evaluate(toy_model(c=len(D.BANDS)), ds, [0, 1, -3], 1, (1.5, 1.5))
