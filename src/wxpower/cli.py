@@ -153,6 +153,10 @@ def cmd_import(args) -> int:
     radius = r.get("corner_radius", 0)
     normalize = r.get("normalize", True)
     out_dir = r.require("out")
+    if factor < 1:
+        raise ConfigError(f"coarsen must be >= 1, got {factor}")
+    if radius < 0:
+        raise ConfigError(f"corner_radius must be >= 0, got {radius}")
 
     cube = D.load_frames(manifest, frames_dir)
     print(f"loaded {cube.shape[0]} frames of {cube.shape[2]}x{cube.shape[3]} px")
@@ -202,7 +206,7 @@ def cmd_synth(args) -> int:
     # import-compatible raw frame files; masked pixels ride along as NaN
     rows = []
     for i in range(cube.shape[0]):
-        frame = cube.frames[i].astype("<f4").copy()
+        frame = cube.frames[i].astype("<f4")
         frame[:, cube.mask] = np.nan
         name = f"frame_{i:05d}.f32"
         frame.tofile(os.path.join(frames_dir, name))
@@ -282,6 +286,8 @@ def cmd_split(args) -> int:
     seed = r.get("seed", 0)
     exclude = r.get("exclude_anomalies", False)
     out = r.require("out")
+    if stack not in D.STACK_CHOICES:
+        raise ConfigError(f"stack must be one of {D.STACK_CHOICES}, got {stack}")
     ds = _load_aligned(r, exclude)
     eligible = _eligible(ds, stack, exclude)
     split = D.split_indices(eligible, seed, stack)
@@ -338,32 +344,24 @@ def cmd_train(args) -> int:
     out_dir = r.require("out")
     if family not in ("linear", "resnet"):
         raise ConfigError(f"model must be linear or resnet, got {family!r}")
-
-    cube = D.load_cube(cube_path)
-    power = _load_power_any(power_path)
-    ds = D.align(cube, power)
-    split = _load_split(splits_path, ds)
-    stack = split.stack
-    channels = ds.input_channels(stack)
-    hw = (cube.shape[2], cube.shape[3])
-
-    rng = Rng(seed)
-    if family == "linear":
-        model = M.build_linear(channels, rng, input_hw=hw)
-        default_l2 = 0.01
-    else:
-        model = M.build_resnet(channels, rng, input_hw=hw)
-        default_l2 = 0.001
-
     schedule = O.StageSchedule(
         stage_length=r.get("stage_length", 5),
         stage_lrs=tuple(r.get("lrs", (1e-3, 3e-4, 1e-4, 3e-5))))
     config = O.TrainConfig(
         batch_size=r.get("batch_size", 16),
         epochs=r.get("epochs", schedule.span),
-        l2_lambda=r.get("l2_lambda", default_l2),
+        l2_lambda=r.get("l2_lambda", 0.01 if family == "linear" else 0.001),
         seed=seed, schedule=schedule,
         adaptive_stages=r.get("adaptive_stages", False))
+
+    cube = D.load_cube(cube_path)
+    power = _load_power_any(power_path)
+    ds = D.align(cube, power)
+    split = _load_split(splits_path, ds)
+    channels = ds.input_channels(split.stack)
+    hw = (cube.shape[2], cube.shape[3])
+    build = M.build_linear if family == "linear" else M.build_resnet
+    model = build(channels, Rng(seed), input_hw=hw)
 
     os.makedirs(out_dir, exist_ok=True)
     run = O.train(model, ds, split, config, out_dir=out_dir, log=print)

@@ -315,7 +315,8 @@ def fit_normalizer(cube: WeatherCube) -> NormalizerStats:
 
 
 def apply_normalizer(cube: WeatherCube, stats: NormalizerStats) -> WeatherCube:
-    """Center/scale each band; masked pixels come out exactly 0.
+    """Center/scale each band of `cube` in place and return `cube`, now
+    marked normalized; masked pixels come out exactly 0.
 
     The shift happens in float64, one time chunk at a time: subtracting a
     large offset (pressure sits near 1e5) in float32 would leave
@@ -325,17 +326,17 @@ def apply_normalizer(cube: WeatherCube, stats: NormalizerStats) -> WeatherCube:
         raise DataError(f"stats bands {stats.bands} != cube bands {cube.bands}")
     means = np.array(stats.means)[:, None, None]
     stds = np.array(stats.stds)[:, None, None]
-    frames = np.empty_like(cube.frames)
+    frames = cube.frames
     step = max(1, _CHUNK_VALUES // max(1, np.prod(cube.shape[1:])))
     for lo in range(0, cube.shape[0], step):
         hi = lo + step
-        chunk = cube.frames[lo:hi].astype(np.float64)
+        chunk = frames[lo:hi].astype(np.float64)
         chunk -= means
         chunk /= stds
         frames[lo:hi] = chunk
         frames[lo:hi, :, cube.mask] = 0.0
-    return WeatherCube(frames, cube.timestamps, cube.bands, cube.mask,
-                       normalized=True)
+    cube.normalized = True
+    return cube
 
 
 # ---------------------------------------------------------------------------

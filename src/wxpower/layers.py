@@ -159,44 +159,33 @@ def batchnorm2d_forward(bn: BatchNorm2d, x: T.Tensor, mode: str) -> T.Tensor:
     n, c, h, w = xd.shape
     gamma, beta = bn.gamma, bn.beta
     gd = gamma.data[None, :, None, None]
+    m = n * h * w
 
     if mode == "train":
-        m = n * h * w
         if m < 2:
             raise T.ShapeError("batchnorm2d train mode needs at least 2 values per channel")
         mu = xd.mean(axis=(0, 2, 3))
         var = xd.var(axis=(0, 2, 3))  # biased
-        inv = 1.0 / np.sqrt(var + xd.dtype.type(bn.eps))
-        xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
-        out = gd * xhat + beta.data[None, :, None, None]
-
         mom = xd.dtype.type(bn.momentum)
         bn.running_mean.data[:] = (1 - mom) * bn.running_mean.data + mom * mu
         bn.running_var.data[:] = (1 - mom) * bn.running_var.data + mom * var
+    else:  # eval: normalize with the frozen running stats
+        mu, var = bn.running_mean.data, bn.running_var.data
+    inv = 1.0 / np.sqrt(var + xd.dtype.type(bn.eps))
+    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
+    out = gd * xhat + beta.data[None, :, None, None]
+    ga = gamma.data
 
-        ga = gamma.data
-
-        def rule(g):
-            dbeta = g.sum(axis=(0, 2, 3))
-            dgamma = (g * xhat).sum(axis=(0, 2, 3))
+    def rule(g):
+        dbeta = g.sum(axis=(0, 2, 3))
+        dgamma = (g * xhat).sum(axis=(0, 2, 3))
+        if mode == "train":
             coeff = (ga * inv / g.dtype.type(m))[None, :, None, None]
             dx = coeff * (g.dtype.type(m) * g
                           - dbeta[None, :, None, None]
                           - xhat * dgamma[None, :, None, None])
-            return (dx, dgamma, dbeta)
-
-        return T.record("batchnorm2d", (x, gamma, beta), out, rule)
-
-    # eval: normalize with frozen running stats; affine map per channel
-    inv = 1.0 / np.sqrt(bn.running_var.data + xd.dtype.type(bn.eps))
-    xhat = (xd - bn.running_mean.data[None, :, None, None]) * inv[None, :, None, None]
-    out = gd * xhat + beta.data[None, :, None, None]
-    ga = gamma.data
-
-    def rule_eval(g):
-        dbeta = g.sum(axis=(0, 2, 3))
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
-        dx = g * (ga * inv)[None, :, None, None]
+        else:  # the stats are constants, so the map is affine per channel
+            dx = g * (ga * inv)[None, :, None, None]
         return (dx, dgamma, dbeta)
 
-    return T.record("batchnorm2d", (x, gamma, beta), out, rule_eval)
+    return T.record("batchnorm2d", (x, gamma, beta), out, rule)

@@ -360,7 +360,7 @@ def _write_block(fh, name: str, arr: np.ndarray) -> None:
     fh.write(nb)
     fh.write(struct.pack("<I", arr.ndim))
     fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    fh.write(np.ascontiguousarray(arr, dtype="<f4").data)
 
 
 def save_checkpoint(model: Model, path) -> None:

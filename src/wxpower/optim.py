@@ -67,7 +67,7 @@ def add_l2_gradients(params: dict, lam: float) -> None:
     for p in params.values():
         contrib = (2.0 * lam) * p.data
         # .grad may alias another tensor's grad: replace, never mutate
-        p.grad = contrib.astype(p.data.dtype) if p.grad is None else p.grad + contrib.astype(p.data.dtype)
+        p.grad = contrib if p.grad is None else p.grad + contrib
 
 
 def loss_with_l2(pred, target, params: dict, lam: float) -> float:

@@ -235,10 +235,9 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
-    keep = x.data > 0  # subgradient at 0 is 0
 
     def rule(g):
-        return (g * keep,)
+        return (g * (out > 0),)  # subgradient at 0 is 0
 
     return record("relu", (x,), out, rule)
 

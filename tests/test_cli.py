@@ -351,6 +351,37 @@ def test_bad_arguments_exit_config(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["import", "--coarsen", 0], None),
+    (["import", "--coarsen", -2], None),
+    (["import", "--corner-radius", -1], None),
+    (["split", "--stack", 3], None),
+    (["split"], "stack=3\n"),
+    (["train", "--epochs", 99], None),
+    (["train", "--batch-size", 0], None),
+], ids=["coarsen-0", "coarsen-negative", "corner-radius-negative",
+        "split-stack-flag", "split-stack-config", "train-epochs",
+        "train-batch-size"])
+def test_bad_numeric_settings_refused_before_reading_data(
+        pipe, tmp_path, monkeypatch, argv, config):
+    def spy(*args, **kwargs):
+        raise AssertionError(f"read data for {argv}")
+
+    monkeypatch.setattr(D, "load_frames", spy)
+    monkeypatch.setattr(D, "load_cube", spy)
+    inputs = {"import": ["--manifest", pipe["synth"] / "manifest.csv"],
+              "split": ["--cube", pipe["cube"], "--power", pipe["power"]],
+              "train": ["--cube", pipe["cube"], "--power", pipe["power"],
+                        "--splits", pipe["splits"]]}[argv[0]]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        inputs += ["--config", cfg]
+    out = tmp_path / "out"
+    assert run(*argv, *inputs, "--out", out) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_numeric_failure_exit_code(pipe, tmp_path):
     power = D.aggregate_power(os.fspath(pipe["power"]))

@@ -370,6 +370,31 @@ def test_grad_relu():
         assert max_rel_err(x.grad, numeric) < GRAD_TOL
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_grad_is_exactly_zero_at_both_zeros_and_nan(dtype):
+    x = T.from_array([[0.0, -0.0, 2.0, -3.0, np.nan]], dtype=dtype,
+                     requires_grad=True)
+    with T.Tape() as tape:
+        y = T.relu(x)
+        T.backward(tape, T.create(y.shape, 5.0, dtype=dtype))
+    assert x.grad.tolist() == [[0.0, 0.0, 5.0, 0.0, 0.0]]
+
+
+def test_taped_relu_keeps_nothing_beside_its_output():
+    x = T.from_array(np.linspace(-1.0, 1.0, 1 << 18).reshape(512, 512),
+                     requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with T.Tape() as tape:
+            y = T.relu(x)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(tape.ops) == 1
+    assert held < 1.1 * y.data.nbytes, (held, y.data.nbytes)
+
+
 def test_grad_add_bias():
     check_unary(T.add_bias, [(5, 3), (3,)])
 
