@@ -446,7 +446,8 @@ def aggregate_power(src) -> PowerSeries:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["timestamp", "source", "mw"]:
             raise DataError("power CSV header must be timestamp,source,mw")
-        readings: dict[str, dict[np.datetime64, list[float]]] = {s: {} for s in SOURCES}
+        # keyed by whole hours since the epoch, floored (pre-1970 included)
+        readings: dict[str, dict[int, list[float]]] = {s: {} for s in SOURCES}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -462,7 +463,7 @@ def aggregate_power(src) -> PowerSeries:
                 raise DataError(f"power CSV line {lineno}: bad mw {row[2]!r}") from e
             if not np.isfinite(mw):
                 raise DataError(f"power CSV line {lineno}: non-finite mw")
-            hour = ts.astype("datetime64[h]").astype("datetime64[s]")
+            hour = int(ts.view(np.int64)) // 3600
             readings[name].setdefault(hour, []).append(mw)
     finally:
         if close:
@@ -472,14 +473,14 @@ def aggregate_power(src) -> PowerSeries:
     if not all_hours:
         raise DataError("power CSV has no usable rows")
     first, last = min(all_hours), max(all_hours)
-    n = int((last - first) / HOUR) + 1
-    stamps = first + np.arange(n) * HOUR
+    n = last - first + 1
+    stamps = (np.arange(first, last + 1, dtype=np.int64) * 3600).astype("datetime64[s]")
     cols = {s: np.zeros(n, dtype=np.float64) for s in SOURCES}
     flags: list = [set() for _ in range(n)]
     for name in SOURCES:
         per = readings[name]
-        for i, ts in enumerate(stamps):
-            vals = per.get(ts)
+        for i in range(n):
+            vals = per.get(first + i)
             if not vals:
                 flags[i].add(f"{name}_missing")
             else:

@@ -391,9 +391,23 @@ def _read_exact(fh, n: int) -> bytes:
     return b
 
 
+class _NoDraws:
+    """Stands in for the builders' Rng when every tensor is about to be
+    overwritten: it hands out uninitialized arrays and draws nothing."""
+
+    def normal(self, shape, std: float = 1.0, dtype=np.float32) -> np.ndarray:
+        return np.empty(tuple(shape), dtype=dtype)
+
+    def uniform(self, shape, low: float, high: float, dtype=np.float32) -> np.ndarray:
+        return np.empty(tuple(shape), dtype=dtype)
+
+
 def load_checkpoint(path) -> Model:
     """Rebuild the model skeleton from the stored architecture, then fill
-    every tensor by name. Returns the model in eval mode."""
+    every tensor by name. Returns the model in eval mode.
+
+    The skeleton's weights start uninitialized (no random init is drawn);
+    the missing-tensor check guarantees that every one is overwritten."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic")
@@ -405,7 +419,7 @@ def load_checkpoint(path) -> Model:
             spec = ArchitectureSpec.from_text(_read_exact(fh, spec_len).decode("utf-8"))
         except ValueError as e:
             raise CheckpointError(f"{path}: {e}") from e
-        model = build_model(spec, Rng(0))
+        model = build_model(spec, _NoDraws())
         slots = {**model.params, **model.buffers}
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         seen = set()

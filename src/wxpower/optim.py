@@ -2,8 +2,10 @@
 
 The loss is the root mean squared error pooled over both outputs of the
 batch, plus an L2 penalty on every parameter. The penalty's gradient
-(2*lambda*p) is added directly to parameter gradients after backward, so
-the recorded graph stays small. Training runs a fixed number of epochs
+(2*lambda*p) never enters the recorded graph: adam_step folds it into the
+same block-wise pass that updates the moments and the parameter, so a step
+allocates no parameter-sized temporary. add_l2_gradients is the unfused
+reference for that term. Training runs a fixed number of epochs
 through exactly four learning-rate stages; optionally a stage can end
 early once validation RMSE has stopped improving (patience 2).
 """
@@ -61,7 +63,9 @@ def l2_penalty(params: dict, lam: float) -> float:
 
 
 def add_l2_gradients(params: dict, lam: float) -> None:
-    """Add the penalty gradient 2*lambda*p to each parameter's .grad."""
+    """Add the penalty gradient 2*lambda*p to each parameter's .grad.
+
+    train folds this term into adam_step instead; this is its reference."""
     if lam == 0:
         return
     for p in params.values():
@@ -83,6 +87,11 @@ def loss_with_l2(pred, target, params: dict, lam: float) -> float:
 # ---------------------------------------------------------------------------
 # ADAM
 
+# elements per working block in adam_step: its scratch is two blocks per
+# dtype, never a parameter-sized temporary
+_ADAM_BLOCK = 1 << 16
+
+
 @dataclass
 class AdamState:
     m: dict
@@ -99,28 +108,72 @@ class AdamState:
                    **kw)
 
 
-def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> None:
-    """One in-place ADAM update. Missing grads count as zeros (moments decay)."""
+def adam_step(state: AdamState, params: dict, grads: dict, lr: float,
+              l2_lambda: float = 0.0) -> None:
+    """One in-place ADAM update with the L2 gradient 2*l2_lambda*p folded in.
+
+    Missing grads count as zeros (moments decay), or as the bare L2 term
+    when l2_lambda > 0. Every argument is checked before anything moves,
+    so a refused call leaves p, m, v and t as they were. Each parameter is
+    walked in blocks of _ADAM_BLOCK elements through two block-sized
+    scratch arrays, in the float order of the unfused formula:
+    g' = g + p*(2*lambda); m = m*b1 + g'*(1-b1); v = v*b2 + (g'*g')*(1-b2);
+    p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
+    """
+    lr, lam2 = float(lr), 2.0 * float(l2_lambda)
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
+    if lam2 < 0:
+        raise ValueError(f"l2_lambda must be >= 0, got {l2_lambda}")
     unknown = set(grads) - set(params)
     if unknown:
         raise KeyError(f"grads for unknown parameters {sorted(unknown)[:4]}")
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is not None and (g.shape != p.data.shape or g.dtype != p.data.dtype):
+            raise T.ShapeError(f"grad {g.shape} {g.dtype} != param {name} "
+                               f"{p.data.shape} {p.data.dtype}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = state.beta1, state.beta2, state.eps
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
+    scratch: dict = {}
     for name, p in params.items():
-        m, v = state.m[name], state.v[name]
+        # Tensor data and its zeros_like moments are contiguous, so these
+        # flat reshapes are views that the blocks below update in place
+        pf = p.data.reshape(-1)
+        mf, vf = state.m[name].reshape(-1), state.v[name].reshape(-1)
         g = grads.get(name)
-        m *= b1
-        v *= b2
-        if g is not None:
-            if g.shape != p.data.shape:
-                raise T.ShapeError(f"grad shape {g.shape} != param {name} {p.data.shape}")
-            m += (1.0 - b1) * g
-            v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        gf = None if g is None else g.reshape(-1)
+        if p.data.dtype not in scratch:
+            scratch[p.data.dtype] = (np.empty(_ADAM_BLOCK, p.data.dtype),
+                                     np.empty(_ADAM_BLOCK, p.data.dtype))
+        sa, sb = scratch[p.data.dtype]
+        for lo in range(0, pf.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, pf.size)
+            pb, mb, vb = pf[lo:hi], mf[lo:hi], vf[lo:hi]
+            a, b = sa[:hi - lo], sb[:hi - lo]
+            gb = None if gf is None else gf[lo:hi]
+            if lam2 != 0.0:
+                np.multiply(pb, lam2, out=a)
+                if gb is not None:
+                    np.add(gb, a, out=a)
+                gb = a
+            mb *= b1
+            vb *= b2
+            if gb is not None:
+                np.multiply(gb, 1.0 - b1, out=b)
+                mb += b
+                np.multiply(gb, gb, out=b)
+                b *= 1.0 - b2
+                vb += b
+            np.divide(mb, bc1, out=a)
+            a *= lr
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            pb -= a
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +312,7 @@ def train(model: Model, dataset, split, config: TrainConfig,
 
     `split` needs .train, .val and .stack. Per epoch: shuffled batches
     (keyed by config.seed and the epoch), forward in train mode, pooled
-    RMSE backward, L2 gradient, ADAM step; then a full eval-mode pass over
+    RMSE backward, ADAM step with the L2 gradient folded in; then a full eval-mode pass over
     the train and val splits for the history row. Stage checkpoints and
     history land in out_dir when given. Raises NumericError on the first
     non-finite loss, and ValueError before the first step when a ResNet
@@ -325,9 +378,8 @@ def train(model: Model, dataset, split, config: TrainConfig,
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, first id {batch_ids[0]}")
                 T.backward(tape, T.create([1], 1.0, dtype=loss.data.dtype))
-            add_l2_gradients(model.params, config.l2_lambda)
             grads = {k: p.grad for k, p in model.params.items() if p.grad is not None}
-            adam_step(state, model.params, grads, lr)
+            adam_step(state, model.params, grads, lr, config.l2_lambda)
             T.clear_grads(model.params.values())
 
         tr = evaluate(model, dataset, train_ids, stack, train_means, config.batch_size)

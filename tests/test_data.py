@@ -486,6 +486,18 @@ def test_aggregate_partial_missing_and_gap():
     assert "wind_partial" in ps.flags[2]
 
 
+def test_aggregate_floors_pre_1970_readings_into_their_hour():
+    rows = ["1969-12-31T23:30:00,solar,2.0",
+            "1969-12-31T23:55:00,solar,4.0",
+            "1970-01-01T00:00:00,wind,1.0"]
+    ps = D.aggregate_power(power_csv(rows))
+    assert ps.timestamps.dtype == np.dtype("datetime64[s]")
+    npt.assert_array_equal(ps.timestamps, hours("1969-12-31T23:00:00", 2))
+    npt.assert_array_equal(ps.solar, [3.0, 0.0])
+    npt.assert_array_equal(ps.wind, [0.0, 1.0])
+    assert ps.flags == [{"solar_partial", "wind_missing"}, {"solar_missing", "wind_partial"}]
+
+
 def test_aggregate_ignores_unknown_sources():
     rows = ["2019-01-01T00:00:00,solar,1.0",
             "2019-01-01T00:00:00,hydro,9.0"]

@@ -253,6 +253,38 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     npt.assert_array_equal(out_a.data, out_b.data)
 
 
+def tiny_linear_spec():
+    return M.ArchitectureSpec("linear", 2, (6, 5), fc_widths=(8, 4), dropout_p=0.1)
+
+
+@pytest.mark.parametrize("spec", [tiny_resnet_spec(), tiny_linear_spec()],
+                         ids=["resnet", "linear"])
+def test_checkpoint_load_draws_nothing_and_resaves_byte_identical(tmp_path, monkeypatch, spec):
+    model = M.build_model(spec, Rng(9))
+    first, second = tmp_path / "a.wxpm", tmp_path / "b.wxpm"
+    M.save_checkpoint(model, first)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew from an Rng")
+
+    for method in ("__init__", "normal", "uniform", "random", "permutation"):
+        monkeypatch.setattr(Rng, method, no_draw)
+    loaded = M.load_checkpoint(first)
+    M.save_checkpoint(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("spec", [tiny_resnet_spec(), tiny_linear_spec()],
+                         ids=["resnet", "linear"])
+def test_checkpoint_missing_tensor_refused(tmp_path, spec):
+    model = M.build_model(spec, Rng(9))
+    del model.params[next(iter(model.params))]
+    p = tmp_path / "m.wxpm"
+    M.save_checkpoint(model, p)
+    with pytest.raises(M.CheckpointError, match="missing tensors"):
+        M.load_checkpoint(p)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "bad.wxpm"
     p.write_bytes(b"NOPE" + b"\x00" * 32)

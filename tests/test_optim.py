@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -116,6 +117,93 @@ def test_adam_validation():
         O.adam_step(st, p, {"nope": np.zeros(2)}, lr=0.1)
     with pytest.raises(T.ShapeError):
         O.adam_step(st, p, {"w": np.zeros(3)}, lr=0.1)
+
+
+def test_adam_bad_grad_leaves_everything_untouched():
+    rng = np.random.default_rng(2)
+    p = {"a": T.Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True),
+         "b": T.Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)}
+    st = O.AdamState.init(p)
+    ok = {"a": np.ones(4, np.float32), "b": np.ones(3, np.float32)}
+    O.adam_step(st, p, ok, lr=0.1)
+
+    def snapshot():
+        return ([q.data.tobytes() for q in p.values()], [m.tobytes() for m in st.m.values()],
+                [v.tobytes() for v in st.v.values()], st.t)
+
+    before = snapshot()
+    refused = [(T.ShapeError, {**ok, "b": np.ones(4, np.float32)}, {}),
+               (T.ShapeError, {**ok, "b": np.ones(3, np.float64)}, {}),
+               (T.ShapeError, {**ok, "b": np.ones(4, np.float32)}, {"l2_lambda": 0.01}),
+               (KeyError, {**ok, "c": np.ones(1, np.float32)}, {}),
+               (ValueError, ok, {"l2_lambda": -1.0})]
+    for err, grads, kw in refused:
+        with pytest.raises(err):
+            O.adam_step(st, p, grads, 0.1, **kw)
+        assert snapshot() == before, (err, kw)
+
+
+def unfused_adam(state, params, grads, lr, lam):
+    """add_l2_gradients, then the ADAM formula written out whole-array."""
+    for k, p in params.items():
+        p.grad = grads.get(k)
+    O.add_l2_gradients(params, lam)
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    bc1, bc2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    for k, p in params.items():
+        m, v, g = state.m[k], state.v[k], p.grad
+        m *= b1
+        v *= b2
+        if g is not None:
+            m += (1.0 - b1) * g
+            v += (1.0 - b2) * (g * g)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    T.clear_grads(params.values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lam", [0.0, 0.03])
+def test_fused_adam_is_byte_identical_to_l2_then_unfused(monkeypatch, dtype, lam):
+    block = 8
+    monkeypatch.setattr(O, "_ADAM_BLOCK", block)
+    sizes = {"one": 1, "under": block - 1, "whole": block, "over": block + 1,
+             "many": 3 * block + 7}
+    rng = np.random.default_rng(11)
+    init = {k: rng.normal(size=n).astype(dtype) for k, n in sizes.items()}
+    init["many"] = init["many"].reshape(1, 31)   # blocks walk the flat array
+    fused = {k: T.Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+    plain = {k: T.Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+    st_f, st_p = O.AdamState.init(fused), O.AdamState.init(plain)
+    for step in range(4):
+        # "under" and "over" lose their gradient on alternate steps
+        grads = {k: rng.normal(size=a.shape).astype(dtype) for k, a in init.items()
+                 if not (k in ("under", "over") and step % 2)}
+        O.adam_step(st_f, fused, grads, 0.01, lam)
+        unfused_adam(st_p, plain, grads, 0.01, lam)
+    assert st_f.t == st_p.t == 4
+    for k in init:
+        assert fused[k].data.dtype == dtype
+        assert fused[k].data.tobytes() == plain[k].data.tobytes(), k
+        assert st_f.m[k].tobytes() == st_p.m[k].tobytes(), k
+        assert st_f.v[k].tobytes() == st_p.v[k].tobytes(), k
+
+
+def test_adam_step_peak_stays_a_few_blocks():
+    n = 4 << 20
+    rng = np.random.default_rng(0)
+    p = {"w": T.Tensor(rng.normal(size=n).astype(np.float32), requires_grad=True)}
+    g = {"w": rng.normal(size=n).astype(np.float32)}
+    st = O.AdamState.init(p)
+    block_bytes = O._ADAM_BLOCK * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        O.adam_step(st, p, g, 1e-3, 0.01)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * block_bytes, (peak, block_bytes)
 
 
 # ---------------------------------------------------------------------------
