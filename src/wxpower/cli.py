@@ -34,7 +34,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config document: flat key=value lines, '#' comments
+# settings: flags and config files (flat key=value lines, '#' comments)
 
 def _bool(text: str) -> bool:
     low = text.strip().lower()
@@ -52,19 +52,37 @@ def _float_list(text: str) -> tuple:
         raise ConfigError(f"expected comma-separated floats, got {text!r}") from None
 
 
-CONFIG_CASTERS = {
+def _timestamp(text: str) -> str:
+    D.parse_timestamp(text)  # refuses an unparsable stamp
+    return text
+
+
+# every setting, whether given as a flag or as a config key: its caster,
+# or the tuple of values it may take
+SETTINGS = {
     "manifest": str, "frames_dir": str, "cube": str, "power": str,
     "splits": str, "checkpoint": str, "out": str,
     "coarsen": int, "corner_radius": int, "normalize": _bool,
-    "model": str, "stack": int, "seed": int,
+    "model": M.FAMILIES, "stack": D.STACK_CHOICES, "seed": int,
     "epochs": int, "batch_size": int, "l2_lambda": float,
     "stage_length": int, "lrs": _float_list, "adaptive_stages": _bool,
     "exclude_anomalies": _bool,
-    "subset": str, "window_start": str, "window_end": str,
-    "timestamp": str, "index": int,
+    "subset": ("train", "val", "test"),
+    "window_start": _timestamp, "window_end": _timestamp,
+    "timestamp": _timestamp, "index": int,
     "hours": int, "grid": int, "noise": float,
-    "min_len": int, "source": str,
+    "min_len": int, "source": ("solar", "wind", "both"),
 }
+
+
+def _cast(key: str, text: str):
+    rule = SETTINGS[key]
+    if not isinstance(rule, tuple):
+        return rule(text)
+    value = type(rule[0])(text)
+    if value not in rule:
+        raise ConfigError(f"{key} must be one of {rule}, got {text!r}")
+    return value
 
 
 def parse_config(path) -> dict:
@@ -79,13 +97,12 @@ def parse_config(path) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, _, val = line.partition("=")
                 key, val = key.strip(), val.strip()
-                caster = CONFIG_CASTERS.get(key)
-                if caster is None:
+                if key not in SETTINGS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    out[key] = caster(val)
-                except ConfigError:
-                    raise
+                    out[key] = _cast(key, val)
+                except ConfigError as e:
+                    raise ConfigError(f"{path}:{lineno}: {e}") from None
                 except ValueError:
                     raise ConfigError(
                         f"{path}:{lineno}: bad value for {key}: {val!r}") from None
@@ -188,11 +205,12 @@ def cmd_synth(args) -> int:
     r = Resolver(args)
     out_dir = r.require("out")
     try:
+        default = D.SynthConfig
         cfg = D.SynthConfig(
-            height=r.get("grid", 24), width=r.get("grid", 24),
-            n_hours=r.get("hours", 240), seed=r.get("seed", 0),
-            noise_mw=r.get("noise", 0.0),
-            corner_radius=r.get("corner_radius", 3))
+            height=r.get("grid", default.height), width=r.get("grid", default.width),
+            n_hours=r.get("hours", default.n_hours),
+            seed=r.get("seed", default.seed), noise_mw=r.get("noise", default.noise_mw),
+            corner_radius=r.get("corner_radius", default.corner_radius))
         result = D.synth_generate(cfg)
     except D.DataError as e:
         raise ConfigError(str(e)) from None
@@ -264,20 +282,13 @@ def _load_power_any(path) -> D.PowerSeries:
 # ---------------------------------------------------------------------------
 # split
 
-def _load_aligned(r: Resolver, exclude: bool):
-    cube = D.load_cube(r.require("cube"))
-    power = _load_power_any(r.require("power"))
+def _load_aligned(cube_path, power_path, exclude: bool = False):
+    cube = D.load_cube(cube_path)
+    power = _load_power_any(power_path)
     if exclude:
         for src in ("solar", "wind"):
             D.detect_constant_runs(power, src)
     return D.align(cube, power)
-
-
-def _eligible(ds: D.AlignedDataset, stack: int, exclude: bool) -> list:
-    ids = ds.eligible_indices(stack)
-    if exclude:
-        ids = [i for i in ids if not ds.power.flags[ds.power_idx[i]]]
-    return ids
 
 
 def cmd_split(args) -> int:
@@ -286,10 +297,12 @@ def cmd_split(args) -> int:
     seed = r.get("seed", 0)
     exclude = r.get("exclude_anomalies", False)
     out = r.require("out")
-    if stack not in D.STACK_CHOICES:
-        raise ConfigError(f"stack must be one of {D.STACK_CHOICES}, got {stack}")
-    ds = _load_aligned(r, exclude)
-    eligible = _eligible(ds, stack, exclude)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    ds = _load_aligned(r.require("cube"), r.require("power"), exclude)
+    eligible = ds.eligible_indices(stack)
+    if exclude:
+        eligible = [i for i in eligible if not ds.power.flags[ds.power_idx[i]]]
     split = D.split_indices(eligible, seed, stack)
     split.save(out)
     print(f"{len(ds)} aligned hours, {len(eligible)} eligible at stack {stack}: "
@@ -340,28 +353,23 @@ def cmd_train(args) -> int:
     power_path = r.require("power")
     splits_path = r.require("splits")
     family = r.get("model", "linear")
-    seed = r.get("seed", 0)
     out_dir = r.require("out")
-    if family not in ("linear", "resnet"):
-        raise ConfigError(f"model must be linear or resnet, got {family!r}")
     schedule = O.StageSchedule(
-        stage_length=r.get("stage_length", 5),
-        stage_lrs=tuple(r.get("lrs", (1e-3, 3e-4, 1e-4, 3e-5))))
+        stage_length=r.get("stage_length", O.StageSchedule.stage_length),
+        stage_lrs=r.get("lrs", O.StageSchedule.stage_lrs))
+    default = O.TrainConfig
     config = O.TrainConfig(
-        batch_size=r.get("batch_size", 16),
+        batch_size=r.get("batch_size", default.batch_size),
         epochs=r.get("epochs", schedule.span),
         l2_lambda=r.get("l2_lambda", 0.01 if family == "linear" else 0.001),
-        seed=seed, schedule=schedule,
-        adaptive_stages=r.get("adaptive_stages", False))
+        seed=r.get("seed", default.seed), schedule=schedule,
+        adaptive_stages=r.get("adaptive_stages", default.adaptive_stages))
 
-    cube = D.load_cube(cube_path)
-    power = _load_power_any(power_path)
-    ds = D.align(cube, power)
+    ds = _load_aligned(cube_path, power_path)
     split = _load_split(splits_path, ds)
     channels = ds.input_channels(split.stack)
-    hw = (cube.shape[2], cube.shape[3])
     build = M.build_linear if family == "linear" else M.build_resnet
-    model = build(channels, Rng(seed), input_hw=hw)
+    model = build(channels, Rng(config.seed), input_hw=ds.cube.shape[2:])
 
     os.makedirs(out_dir, exist_ok=True)
     run = O.train(model, ds, split, config, out_dir=out_dir, log=print)
@@ -384,12 +392,13 @@ def cmd_eval(args) -> int:
     splits_path = r.require("splits")
     subset = r.get("subset", "test")
     out_dir = r.require("out")
-    if subset not in ("train", "val", "test"):
-        raise ConfigError(f"subset must be train, val, or test, got {subset!r}")
+    ws, we = r.get("window_start"), r.get("window_end")
+    if (ws is None) != (we is None):
+        raise ConfigError("window_start and window_end must be given together")
+    if ws is not None and D.parse_timestamp(we) < D.parse_timestamp(ws):
+        raise ConfigError("window_end precedes window_start")
 
-    cube = D.load_cube(cube_path)
-    power = _load_power_any(power_path)
-    ds = D.align(cube, power)
+    ds = _load_aligned(cube_path, power_path)
     split = _load_split(splits_path, ds)
     model = M.load_checkpoint(ckpt_path)
     train_means = tuple(ds.targets(list(split.train)).mean(axis=0))
@@ -403,10 +412,6 @@ def cmd_eval(args) -> int:
     with open(os.path.join(out_dir, "report.csv"), "w") as fh:
         fh.write(report_csv(rep))
     print(report_text(rep), end="")
-
-    ws, we = r.get("window_start"), r.get("window_end")
-    if (ws is None) != (we is None):
-        raise ConfigError("window_start and window_end must be given together")
     if ws is not None:
         _write_window(ds, model, split.stack, ws, we, out_dir)
     _write_run_files(out_dir, r.used,
@@ -417,8 +422,6 @@ def cmd_eval(args) -> int:
 def _write_window(ds, model, stack, ws, we, out_dir) -> None:
     """Chronological true-vs-estimated slice as CSV + SVG."""
     start, end = D.parse_timestamp(ws), D.parse_timestamp(we)
-    if end < start:
-        raise ConfigError("window_end precedes window_start")
     lo, hi = ds.timestamps[0], ds.timestamps[-1]
     if start < lo or end > hi:
         raise D.DataError(
@@ -496,11 +499,11 @@ def cmd_saliency(args) -> int:
 
 def cmd_anomalies(args) -> int:
     r = Resolver(args)
-    power = _load_power_any(r.require("power"))
     min_len = r.get("min_len", 6)
     which = r.get("source", "both")
-    if which not in ("solar", "wind", "both"):
-        raise ConfigError(f"source must be solar, wind, or both, got {which!r}")
+    if min_len < 2:
+        raise ConfigError(f"min_len must be >= 2, got {min_len}")
+    power = _load_power_any(r.require("power"))
     sources = ("solar", "wind") if which == "both" else (which,)
     total = 0
     for src in sources:
@@ -517,86 +520,56 @@ def cmd_anomalies(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# each subcommand's help line and the settings it takes as flags; a
+# boolean's flag switches it on, or off when spelled "no_<key>"
+COMMANDS = {
+    "import": ("frame files -> normalized cube",
+               "manifest frames_dir coarsen corner_radius no_normalize"),
+    "synth": ("generate a synthetic dataset", "hours grid noise corner_radius"),
+    "split": ("deterministic train/val/test id split",
+              "cube power stack exclude_anomalies"),
+    "train": ("fit a model", "cube power splits model epochs batch_size "
+                             "l2_lambda stage_length lrs adaptive_stages"),
+    "eval": ("score a checkpoint on a split subset",
+             "checkpoint cube power splits subset window_start window_end"),
+    "saliency": ("input-gradient maps for one sample",
+                 "checkpoint cube timestamp index"),
+    "anomalies": ("report constant-output runs in a power series",
+                  "power min_len source"),
+}
+FLAG_HELP = {"out": "output file or directory",
+             "lrs": "4 comma-separated stage rates"}
+
+
+def _add_flag(p: argparse.ArgumentParser, name: str) -> None:
+    key = name.removeprefix("no_")
+    rule = SETTINGS[key]
+    flag = "--" + name.replace("_", "-")
+    if rule is _bool:
+        p.add_argument(flag, dest=key, action="store_const", const=name == key)
+    elif isinstance(rule, tuple):
+        p.add_argument(flag, dest=key, type=type(rule[0]), choices=rule)
+    else:
+        p.add_argument(flag, dest=key, type=rule, help=FLAG_HELP.get(key))
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", help="output file or directory")
+    _add_flag(common, "seed")
+    _add_flag(common, "out")
 
     parser = argparse.ArgumentParser(
         prog="wxpower",
         description="regional solar/wind production estimation from "
                     "surface weather maps")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("import", parents=[common],
-                       help="frame files -> normalized cube")
-    p.add_argument("--manifest")
-    p.add_argument("--frames-dir", dest="frames_dir")
-    p.add_argument("--coarsen", type=int)
-    p.add_argument("--corner-radius", dest="corner_radius", type=int)
-    p.add_argument("--no-normalize", dest="normalize", action="store_const",
-                   const=False)
-    p.set_defaults(func=cmd_import)
-
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic dataset")
-    p.add_argument("--hours", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--corner-radius", dest="corner_radius", type=int)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("split", parents=[common],
-                       help="deterministic train/val/test id split")
-    p.add_argument("--cube")
-    p.add_argument("--power")
-    p.add_argument("--stack", type=int)
-    p.add_argument("--exclude-anomalies", dest="exclude_anomalies",
-                   action="store_const", const=True)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("train", parents=[common], help="fit a model")
-    p.add_argument("--cube")
-    p.add_argument("--power")
-    p.add_argument("--splits")
-    p.add_argument("--model", choices=("linear", "resnet"))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--l2-lambda", dest="l2_lambda", type=float)
-    p.add_argument("--stage-length", dest="stage_length", type=int)
-    p.add_argument("--lrs", type=_float_list,
-                   help="4 comma-separated stage rates")
-    p.add_argument("--adaptive-stages", dest="adaptive_stages",
-                   action="store_const", const=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="score a checkpoint on a split subset")
-    p.add_argument("--checkpoint")
-    p.add_argument("--cube")
-    p.add_argument("--power")
-    p.add_argument("--splits")
-    p.add_argument("--subset", choices=("train", "val", "test"))
-    p.add_argument("--window-start", dest="window_start")
-    p.add_argument("--window-end", dest="window_end")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("saliency", parents=[common],
-                       help="input-gradient maps for one sample")
-    p.add_argument("--checkpoint")
-    p.add_argument("--cube")
-    p.add_argument("--timestamp")
-    p.add_argument("--index", type=int)
-    p.set_defaults(func=cmd_saliency)
-
-    p = sub.add_parser("anomalies", parents=[common],
-                       help="report constant-output runs in a power series")
-    p.add_argument("--power")
-    p.add_argument("--min-len", dest="min_len", type=int)
-    p.add_argument("--source", choices=("solar", "wind", "both"))
-    p.set_defaults(func=cmd_anomalies)
-
+    for name, (help_line, flags) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        for flag in flags.split():
+            _add_flag(p, flag)
+        # looked up now, not at import, so a wrapped cmd_<name> is the one run
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 

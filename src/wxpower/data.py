@@ -712,15 +712,14 @@ def split_indices(eligible, seed: int, stack: int) -> SplitIndices:
     """Shuffle eligible sample ids and cut 80/10/10 (train/val/test).
 
     `eligible` is either the list of usable sample ids or the total sample
-    count n, in which case the ids are range(n) for stack=1 and
-    range(5, n) for stack=5 (the first five hours lack a full history
-    window). The holdout is 2n//10 ids; validation takes its ceil-half,
-    test its floor-half, so train = n - 2n//10.
+    count n, in which case the ids run from the first hour with a full
+    input window (0 at stack=1, 5 at stack=5) up to n. The holdout is
+    2n//10 ids; validation takes its ceil-half, test its floor-half, so
+    train = n - 2n//10.
     """
     _check_stack(stack)
     if isinstance(eligible, (int, np.integer)):
-        start = 5 if stack == 5 else 0
-        ids = list(range(start, int(eligible)))
+        ids = list(range(-STACK_OFFSETS[stack][0], int(eligible)))
     else:
         ids = [int(i) for i in eligible]
         if len(set(ids)) != len(ids):

@@ -428,7 +428,6 @@ def load_checkpoint(path) -> Model:
             name = _read_exact(fh, nlen).decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
-            data = np.frombuffer(_read_exact(fh, 4 * int(np.prod(shape))), dtype="<f4")
             if name not in slots:
                 raise CheckpointError(f"{path}: unknown tensor {name!r}")
             if name in seen:
@@ -436,7 +435,11 @@ def load_checkpoint(path) -> Model:
             if tuple(shape) != slots[name].shape:
                 raise CheckpointError(
                     f"{path}: {name} stored {tuple(shape)}, model wants {slots[name].shape}")
-            slots[name].data[...] = data.reshape(shape)
+            slot = slots[name].data
+            if fh.readinto(slot) != slot.nbytes:  # float32 straight into its slot
+                raise CheckpointError("truncated checkpoint")
+            if not np.little_endian:  # the file is little-endian
+                slot.byteswap(inplace=True)
             seen.add(name)
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes")

@@ -460,25 +460,15 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
     if len(axes) != 1:
         raise ShapeError("reduce_max takes exactly one axis")
     ax = axes[0]
-    if x.data.ndim == 1:
-        out = x.data.max(axis=ax).reshape(1)
-        arg = int(x.data.argmax())
-        size = x.shape[0]
-
-        def rule1(g):
-            dx = np.zeros(size, dtype=g.dtype)
-            dx[arg] = g[0]
-            return (dx,)
-
-        return record("reduce_max", (x,), out, rule1)
-
-    out = np.ascontiguousarray(x.data.max(axis=ax))
-    arg = np.expand_dims(x.data.argmax(axis=ax), ax)
+    red = x.data.max(axis=ax)
+    out = red.reshape(1) if x.data.ndim == 1 else np.ascontiguousarray(red)
     in_shape = x.shape
+    kept = tuple(1 if i == ax else n for i, n in enumerate(in_shape))
+    arg = x.data.argmax(axis=ax).reshape(kept)
 
     def rule(g):
         dx = np.zeros(in_shape, dtype=g.dtype)
-        np.put_along_axis(dx, arg, np.expand_dims(g, ax), ax)
+        np.put_along_axis(dx, arg, g.reshape(kept), ax)
         return (dx,)
 
     return record("reduce_max", (x,), out, rule)

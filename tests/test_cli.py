@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 
 import numpy as np
@@ -351,6 +352,16 @@ def test_bad_arguments_exit_config(capsys):
     capsys.readouterr()
 
 
+def forbid_reads(monkeypatch, what):
+    """Make every data and checkpoint reader fail the test."""
+    def spy(*args, **kwargs):
+        raise AssertionError(f"read data for {what}")
+
+    for fn in ("load_frames", "load_cube", "load_power", "aggregate_power"):
+        monkeypatch.setattr(D, fn, spy)
+    monkeypatch.setattr(M, "load_checkpoint", spy)
+
+
 @pytest.mark.parametrize("argv,config", [
     (["import", "--coarsen", 0], None),
     (["import", "--coarsen", -2], None),
@@ -359,20 +370,33 @@ def test_bad_arguments_exit_config(capsys):
     (["split"], "stack=3\n"),
     (["train", "--epochs", 99], None),
     (["train", "--batch-size", 0], None),
+    (["split", "--seed", -1], None),
+    (["anomalies", "--min-len", 1], None),
+    (["eval", "--window-start", "2019-01-02T00:00:00"], None),
+    (["eval", "--window-start", "garbage",
+      "--window-end", "2019-01-03T00:00:00"], None),
+    (["eval"], "window_start=2019-01-02T00:00:00\nwindow_end=garbage\n"),
+    (["eval", "--window-start", "2019-01-03T00:00:00",
+      "--window-end", "2019-01-02T00:00:00"], None),
+    (["saliency", "--timestamp", "garbage"], None),
 ], ids=["coarsen-0", "coarsen-negative", "corner-radius-negative",
         "split-stack-flag", "split-stack-config", "train-epochs",
-        "train-batch-size"])
+        "train-batch-size", "split-seed-negative", "anomalies-min-len-1",
+        "eval-window-start-alone", "eval-window-start-garbage",
+        "eval-window-end-config-garbage", "eval-window-reversed",
+        "saliency-timestamp-garbage"])
 def test_bad_numeric_settings_refused_before_reading_data(
         pipe, tmp_path, monkeypatch, argv, config):
-    def spy(*args, **kwargs):
-        raise AssertionError(f"read data for {argv}")
-
-    monkeypatch.setattr(D, "load_frames", spy)
-    monkeypatch.setattr(D, "load_cube", spy)
+    forbid_reads(monkeypatch, argv)
+    ckpt = pipe["train"] / "final.wxpm"
     inputs = {"import": ["--manifest", pipe["synth"] / "manifest.csv"],
               "split": ["--cube", pipe["cube"], "--power", pipe["power"]],
               "train": ["--cube", pipe["cube"], "--power", pipe["power"],
-                        "--splits", pipe["splits"]]}[argv[0]]
+                        "--splits", pipe["splits"]],
+              "eval": ["--checkpoint", ckpt, "--cube", pipe["cube"],
+                       "--power", pipe["power"], "--splits", pipe["splits"]],
+              "saliency": ["--checkpoint", ckpt, "--cube", pipe["cube"]],
+              "anomalies": ["--power", pipe["power"]]}[argv[0]]
     if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
@@ -380,6 +404,40 @@ def test_bad_numeric_settings_refused_before_reading_data(
     out = tmp_path / "out"
     assert run(*argv, *inputs, "--out", out) == cli.EXIT_CONFIG
     assert not out.exists()
+
+
+# each subcommand's flags beside --help, --config, --seed and --out
+SUBCOMMAND_FLAGS = {
+    "import": "--manifest --frames-dir --coarsen --corner-radius --no-normalize",
+    "synth": "--hours --grid --noise --corner-radius",
+    "split": "--cube --power --stack --exclude-anomalies",
+    "train": "--cube --power --splits --model --epochs --batch-size --l2-lambda "
+             "--stage-length --lrs --adaptive-stages",
+    "eval": "--checkpoint --cube --power --splits --subset --window-start "
+            "--window-end",
+    "saliency": "--checkpoint --cube --timestamp --index",
+    "anomalies": "--power --min-len --source",
+}
+
+
+@pytest.mark.parametrize("cmd", list(SUBCOMMAND_FLAGS))
+def test_subcommand_flags_and_config_choices(cmd, tmp_path, monkeypatch, capsys):
+    assert cli.main([cmd, "--help"]) == cli.EXIT_OK
+    shown = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", shown)) == {
+        "--help", "--config", "--seed", "--out", *SUBCOMMAND_FLAGS[cmd].split()}
+    if cmd == "train":
+        assert "4 comma-separated stage rates" in shown
+
+    # a config value outside its allowed set fails like its flag would,
+    # whichever subcommand reads the file
+    forbid_reads(monkeypatch, cmd)
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    for line in ("model=tree", "subset=dev", "source=hydro"):
+        cfg.write_text(line + "\n")
+        assert run(cmd, "--config", cfg, "--out", out) == cli.EXIT_CONFIG
+        assert "must be one of" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -300,6 +302,25 @@ def test_checkpoint_rejects_truncation(tmp_path):
     p.write_bytes(whole[:len(whole) // 2])
     with pytest.raises(M.CheckpointError):
         M.load_checkpoint(p)
+
+
+def test_checkpoint_load_holds_the_model_once(tmp_path):
+    # 8.4 MB of fc1 weights; reading each tensor through a bytes object
+    # first would take the load's peak to twice the model
+    model = M.build_linear(2, Rng(0), input_hw=(64, 64), fc_widths=(256,))
+    path = tmp_path / "m.wxpm"
+    M.save_checkpoint(model, path)
+    model_bytes = sum(t.data.nbytes for t in {**model.params, **model.buffers}.values())
+    del model
+    tracemalloc.start()
+    try:
+        loaded = M.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * model_bytes
+    M.save_checkpoint(loaded, tmp_path / "again.wxpm")
+    assert (tmp_path / "again.wxpm").read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):

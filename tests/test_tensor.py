@@ -435,11 +435,17 @@ def test_grad_reduce_max():
 
 
 def test_reduce_max_tie_goes_to_first():
-    x = t64([[2.0, 2.0, 1.0]])
-    with T.Tape() as tape:
-        T.reduce_sum(T.reduce_max(x, axis=1))
-        T.backward(tape, T.create([1], 1.0, dtype=np.float64))
-    npt.assert_allclose(x.grad, [[1.0, 0.0, 0.0]])
+    for a, axis, out, grad in [
+            ([[2.0, 2.0, 1.0]], 1, [2.0], [[1.0, 0.0, 0.0]]),
+            ([1.0, 3.0, 3.0], 0, [3.0], [0.0, 1.0, 0.0])]:  # 1-d: full reduction
+        x = t64(a)
+        with T.Tape() as tape:
+            y = T.reduce_max(x, axis=axis)
+            T.reduce_sum(y)
+            T.backward(tape, T.create([1], 1.0, dtype=np.float64))
+        assert y.shape == (1,)
+        npt.assert_array_equal(y.data, out)
+        npt.assert_array_equal(x.grad, grad)
 
 
 @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 3)])
