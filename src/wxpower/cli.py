@@ -401,6 +401,12 @@ def cmd_eval(args) -> int:
     ds = _load_aligned(cube_path, power_path)
     split = _load_split(splits_path, ds)
     model = M.load_checkpoint(ckpt_path)
+    want = (ds.input_channels(split.stack), *ds.cube.shape[2:])
+    got = (model.spec.input_channels, *model.spec.input_hw)
+    if got != want:
+        raise ConfigError(
+            f"checkpoint wants (C, H, W) = {got}, split at stack {split.stack} "
+            f"gives {want}")
     train_means = tuple(ds.targets(list(split.train)).mean(axis=0))
 
     ids = list(getattr(split, subset))
@@ -462,6 +468,8 @@ def cmd_saliency(args) -> int:
     index = r.get("index")
     if (stamp is None) == (index is None):
         raise ConfigError("give exactly one of timestamp or index")
+    if index is not None and index < 0:
+        raise ConfigError(f"index must be >= 0, got {index}")
 
     model = M.load_checkpoint(ckpt_path)
     cube = D.load_cube(cube_path)

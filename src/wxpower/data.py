@@ -597,22 +597,17 @@ class AlignedDataset:
     """Cube frames paired with power targets on their common hours."""
 
     def __init__(self, cube: WeatherCube, power: PowerSeries):
-        cube_pos = {ts.astype("datetime64[s]").item(): i
-                    for i, ts in enumerate(cube.timestamps)}
-        pairs = []
-        for pi, ts in enumerate(power.timestamps):
-            ci = cube_pos.get(ts.item())
-            if ci is not None:
-                pairs.append((ci, pi))
-        if not pairs:
+        # both stamp arrays are validated strictly increasing, so unique
+        _, self.cube_idx, self.power_idx = np.intersect1d(
+            cube.timestamps, power.timestamps, assume_unique=True, return_indices=True)
+        n = len(self.cube_idx)
+        if not n:
             raise DataError("cube and power series share no timestamps")
         self.cube = cube
         self.power = power
-        self.cube_idx = np.array([p[0] for p in pairs])
-        self.power_idx = np.array([p[1] for p in pairs])
         self.timestamps = cube.timestamps[self.cube_idx]
-        self.dropped_cube = cube.shape[0] - len(pairs)
-        self.dropped_power = len(power.timestamps) - len(pairs)
+        self.dropped_cube = cube.shape[0] - n
+        self.dropped_power = len(power.timestamps) - n
 
     def __len__(self) -> int:
         return len(self.cube_idx)

@@ -12,9 +12,22 @@ outputs (solar MW, wind MW):
   pooling between stages, global average pooling, then a small
   relu-capped regression head.
 
-A Model owns named parameter and buffer tensors; builders consume an Rng
-in a fixed construction order, so (seed -> initial weights) is
-reproducible bit for bit.
+A Model's `net` is a tree of nested dicts whose leaves are layers:
+
+* linear: {"fc1": LinearLayer, ..., "fcN": LinearLayer}
+* resnet: {"stem": {"conv", "bn"},
+           "s1": {"b1": {"conv1", "bn1", "conv2", "bn2", "conv3", "bn3",
+                         and "proj", "proj_bn" where the width changes},
+                  "b2": ...},
+           ..., "head": {"fc1", "fc2"}}
+
+A tensor's name is the dict keys down to its layer plus the layer
+attribute that holds it, joined by dots ("s1.b1.conv1.kernel",
+"stem.bn.running_mean"). One walk of the tree, in insertion order, fills
+`params` (tensors that require a gradient) and `buffers` (the rest), and
+that order is the order of the records in a checkpoint file. Builders
+consume an Rng in that same construction order, so (seed -> initial
+weights) is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +44,8 @@ CHECKPOINT_MAGIC = b"WXPM"
 CHECKPOINT_VERSION = 1
 
 FAMILIES = ("linear", "resnet")
+
+_SCALARS = {"str": str, "int": int, "float": float}
 
 
 @dataclass(frozen=True)
@@ -100,17 +115,10 @@ class ArchitectureSpec:
             raise ValueError(f"unknown architecture keys {sorted(unknown)}")
         args = {}
         for name, f in known.items():
-            if name not in kv:
-                continue
-            raw = kv[name]
-            if name == "family":
-                args[name] = raw
-            elif name == "dropout_p":
-                args[name] = float(raw)
-            elif name in ("input_hw", "fc_widths", "stage_blocks", "stage_widths"):
-                args[name] = tuple(int(x) for x in raw.split(","))
-            else:
-                args[name] = int(raw)
+            if name in kv:  # f.type is the annotation's text
+                raw = kv[name]
+                args[name] = (tuple(int(x) for x in raw.split(","))
+                              if f.type.startswith("tuple") else _SCALARS[f.type](raw))
         if "family" not in args or "input_channels" not in args:
             raise ValueError("architecture text must carry family and input_channels")
         return cls(**args)
@@ -130,30 +138,28 @@ class Conv2dLayer:
         bias = T.create([out_ch], 0.0, dtype=dtype, requires_grad=True)
         return cls(kernel, bias, stride, pad)
 
-    def forward(self, x: T.Tensor) -> T.Tensor:
-        return T.conv2d(x, self.kernel, self.bias, stride=self.stride, pad=self.pad)
 
-
-@dataclass
-class _Bottleneck:
-    conv1: Conv2dLayer
-    bn1: BatchNorm2d
-    conv2: Conv2dLayer
-    bn2: BatchNorm2d
-    conv3: Conv2dLayer
-    bn3: BatchNorm2d
-    proj: Conv2dLayer | None
-    proj_bn: BatchNorm2d | None
+def _named_tensors(tree: dict, prefix: str = ""):
+    """(name, tensor) for every tensor of a layer tree, in insertion order."""
+    for key, node in tree.items():
+        if isinstance(node, dict):
+            yield from _named_tensors(node, f"{prefix}{key}.")
+        else:
+            for attr, value in vars(node).items():
+                if isinstance(value, T.Tensor):
+                    yield f"{prefix}{key}.{attr}", value
 
 
 class Model:
-    """Named parameters/buffers plus the wiring to run them."""
+    """A layer tree, its named parameters/buffers, and the mode to run it in."""
 
-    def __init__(self, spec: ArchitectureSpec, params: dict, buffers: dict, net: dict):
+    def __init__(self, spec: ArchitectureSpec, net: dict):
         self.spec = spec
-        self.params = params
-        self.buffers = buffers
         self.net = net
+        self.params: dict = {}
+        self.buffers: dict = {}
+        for name, t in _named_tensors(net):
+            (self.params if t.requires_grad else self.buffers)[name] = t
         self.mode = "train"
 
     def train(self) -> "Model":
@@ -176,26 +182,6 @@ def param_count(model: Model) -> int:
 
 # ---------------------------------------------------------------------------
 # builders
-
-def _register_linear(params: dict, name: str, lay: LinearLayer) -> LinearLayer:
-    params[f"{name}.weight"] = lay.weight
-    params[f"{name}.bias"] = lay.bias
-    return lay
-
-
-def _register_conv(params: dict, name: str, lay: Conv2dLayer) -> Conv2dLayer:
-    params[f"{name}.kernel"] = lay.kernel
-    params[f"{name}.bias"] = lay.bias
-    return lay
-
-
-def _register_bn(params: dict, buffers: dict, name: str, bn: BatchNorm2d) -> BatchNorm2d:
-    params[f"{name}.gamma"] = bn.gamma
-    params[f"{name}.beta"] = bn.beta
-    buffers[f"{name}.running_mean"] = bn.running_mean
-    buffers[f"{name}.running_var"] = bn.running_var
-    return bn
-
 
 def build_model(spec: ArchitectureSpec, rng: Rng, dtype=np.float32) -> Model:
     if spec.family == "linear":
@@ -224,15 +210,11 @@ def build_resnet(input_channels: int, rng: Rng, *, input_hw=(115, 108),
 
 
 def _build_linear(spec: ArchitectureSpec, rng: Rng, dtype) -> Model:
-    params: dict = {}
     h, w = spec.input_hw
     sizes = [spec.input_channels * h * w, *spec.fc_widths, spec.outputs]
-    layers = []
-    for i in range(len(sizes) - 1):
-        lay = LinearLayer.new(sizes[i], sizes[i + 1], rng, dtype)
-        layers.append(_register_linear(params, f"fc{i + 1}", lay))
-    net = {"layers": layers, "drop": DropoutSpec(spec.dropout_p)}
-    return Model(spec, params, {}, net)
+    net = {f"fc{i + 1}": LinearLayer.new(sizes[i], sizes[i + 1], rng, dtype)
+           for i in range(len(sizes) - 1)}
+    return Model(spec, net)
 
 
 def _resnet_spatial_plan(spec: ArchitectureSpec) -> list[tuple[int, int]]:
@@ -252,50 +234,33 @@ def _resnet_spatial_plan(spec: ArchitectureSpec) -> list[tuple[int, int]]:
 
 
 def _build_resnet(spec: ArchitectureSpec, rng: Rng, dtype) -> Model:
-    params: dict = {}
-    buffers: dict = {}
     _resnet_spatial_plan(spec)  # validate geometry up front
 
-    stem_conv = _register_conv(params, "stem.conv",
-                               Conv2dLayer.new(spec.input_channels, spec.stem_width,
-                                               7, 2, 3, rng, dtype))
-    stem_bn = _register_bn(params, buffers, "stem.bn",
-                           BatchNorm2d(spec.stem_width, dtype=dtype))
+    def conv(in_ch: int, out_ch: int, k: int, stride: int, pad: int) -> Conv2dLayer:
+        return Conv2dLayer.new(in_ch, out_ch, k, stride, pad, rng, dtype)
 
-    stages: list[list[_Bottleneck]] = []
+    def bn(ch: int) -> BatchNorm2d:
+        return BatchNorm2d(ch, dtype=dtype)
+
+    net = {"stem": {"conv": conv(spec.input_channels, spec.stem_width, 7, 2, 3),
+                    "bn": bn(spec.stem_width)}}
     in_ch = spec.stem_width
     for si, (nblocks, width) in enumerate(zip(spec.stage_blocks, spec.stage_widths), 1):
         mid = width // 4
-        blocks = []
+        stage = net[f"s{si}"] = {}
         for bi in range(1, nblocks + 1):
-            base = f"s{si}.b{bi}"
-            conv1 = _register_conv(params, f"{base}.conv1",
-                                   Conv2dLayer.new(in_ch, mid, 1, 1, 0, rng, dtype))
-            bn1 = _register_bn(params, buffers, f"{base}.bn1", BatchNorm2d(mid, dtype=dtype))
-            conv2 = _register_conv(params, f"{base}.conv2",
-                                   Conv2dLayer.new(mid, mid, 3, 1, 1, rng, dtype))
-            bn2 = _register_bn(params, buffers, f"{base}.bn2", BatchNorm2d(mid, dtype=dtype))
-            conv3 = _register_conv(params, f"{base}.conv3",
-                                   Conv2dLayer.new(mid, width, 1, 1, 0, rng, dtype))
-            bn3 = _register_bn(params, buffers, f"{base}.bn3", BatchNorm2d(width, dtype=dtype))
-            proj = proj_bn = None
+            blk = stage[f"b{bi}"] = {
+                "conv1": conv(in_ch, mid, 1, 1, 0), "bn1": bn(mid),
+                "conv2": conv(mid, mid, 3, 1, 1), "bn2": bn(mid),
+                "conv3": conv(mid, width, 1, 1, 0), "bn3": bn(width)}
             if in_ch != width:
-                proj = _register_conv(params, f"{base}.proj",
-                                      Conv2dLayer.new(in_ch, width, 1, 1, 0, rng, dtype))
-                proj_bn = _register_bn(params, buffers, f"{base}.proj_bn",
-                                       BatchNorm2d(width, dtype=dtype))
-            blocks.append(_Bottleneck(conv1, bn1, conv2, bn2, conv3, bn3, proj, proj_bn))
+                blk["proj"] = conv(in_ch, width, 1, 1, 0)
+                blk["proj_bn"] = bn(width)
             in_ch = width
-        stages.append(blocks)
 
-    fc1 = _register_linear(params, "head.fc1",
-                           LinearLayer.new(spec.stage_widths[-1], spec.head_hidden, rng, dtype))
-    fc2 = _register_linear(params, "head.fc2",
-                           LinearLayer.new(spec.head_hidden, spec.outputs, rng, dtype))
-
-    net = {"stem_conv": stem_conv, "stem_bn": stem_bn, "stages": stages,
-           "fc1": fc1, "fc2": fc2}
-    return Model(spec, params, buffers, net)
+    net["head"] = {"fc1": LinearLayer.new(spec.stage_widths[-1], spec.head_hidden, rng, dtype),
+                   "fc2": LinearLayer.new(spec.head_hidden, spec.outputs, rng, dtype)}
+    return Model(spec, net)
 
 
 # ---------------------------------------------------------------------------
@@ -315,40 +280,44 @@ def model_forward(model: Model, x: T.Tensor, rng: Rng | None = None) -> T.Tensor
 
 def _forward_linear(model: Model, x: T.Tensor, rng: Rng | None) -> T.Tensor:
     spec = model.spec
-    drop: DropoutSpec = model.net["drop"]
+    drop = DropoutSpec(spec.dropout_p)
     if model.mode == "train" and drop.p > 0.0 and rng is None:
         raise ValueError("train-mode forward of the linear family needs an Rng for dropout")
     n = x.shape[0]
     h = T.reshape(x, (n, spec.input_channels * spec.input_hw[0] * spec.input_hw[1]))
-    for lay in model.net["layers"]:
+    for lay in model.net.values():
         h = dropout(h, drop, model.mode, rng)
         h = T.relu(linear_forward(lay, h))
     return h
 
 
-def _block_forward(blk: _Bottleneck, x: T.Tensor, mode: str) -> T.Tensor:
-    h = T.relu(batchnorm2d_forward(blk.bn1, blk.conv1.forward(x), mode))
-    h = T.relu(batchnorm2d_forward(blk.bn2, blk.conv2.forward(h), mode))
-    h = batchnorm2d_forward(blk.bn3, blk.conv3.forward(h), mode)
-    shortcut = x
-    if blk.proj is not None:
-        shortcut = batchnorm2d_forward(blk.proj_bn, blk.proj.forward(x), mode)
+def _conv_bn(net: dict, conv_key: str, bn_key: str, x: T.Tensor, mode: str) -> T.Tensor:
+    """The one place a conv runs: net[conv_key], then its batchnorm net[bn_key]."""
+    conv = net[conv_key]
+    y = T.conv2d(x, conv.kernel, conv.bias, stride=conv.stride, pad=conv.pad)
+    return batchnorm2d_forward(net[bn_key], y, mode)
+
+
+def _block_forward(blk: dict, x: T.Tensor, mode: str) -> T.Tensor:
+    h = T.relu(_conv_bn(blk, "conv1", "bn1", x, mode))
+    h = T.relu(_conv_bn(blk, "conv2", "bn2", h, mode))
+    h = _conv_bn(blk, "conv3", "bn3", h, mode)
+    shortcut = _conv_bn(blk, "proj", "proj_bn", x, mode) if "proj" in blk else x
     return T.relu(T.add(h, shortcut))
 
 
 def _forward_resnet(model: Model, x: T.Tensor) -> T.Tensor:
-    mode = model.mode
-    net = model.net
-    h = T.relu(batchnorm2d_forward(net["stem_bn"], net["stem_conv"].forward(x), mode))
-    stages = net["stages"]
-    for si, blocks in enumerate(stages):
-        for blk in blocks:
+    mode, net = model.mode, model.net
+    h = T.relu(_conv_bn(net["stem"], "conv", "bn", x, mode))
+    n_stages = len(model.spec.stage_blocks)
+    for si in range(1, n_stages + 1):
+        for blk in net[f"s{si}"].values():
             h = _block_forward(blk, h, mode)
-        if si < len(stages) - 1:
+        if si < n_stages:
             h = T.avgpool2d(h, k=2, stride=2)
     h = T.reduce_mean(h, axes=(2, 3))          # global average pool -> (N, C)
-    h = T.relu(linear_forward(model.net["fc1"], h))
-    return T.relu(linear_forward(model.net["fc2"], h))
+    h = T.relu(linear_forward(net["head"]["fc1"], h))
+    return T.relu(linear_forward(net["head"]["fc2"], h))
 
 
 # ---------------------------------------------------------------------------

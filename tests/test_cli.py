@@ -238,6 +238,28 @@ def test_eval_reports(pipe, tmp_path):
     assert int(csv_lines[1].split(",")[0]) == 12
 
 
+def test_eval_refuses_a_checkpoint_that_does_not_fit_the_split(pipe, tmp_path, capsys):
+    # the stack-1 checkpoint on a stack-5 split, and a 16x16 checkpoint on
+    # the 20x20 cube: both are named before any hour is scored
+    split = D.SplitIndices.load(pipe["splits"])
+    stack5 = tmp_path / "splits5.txt"
+    D.SplitIndices(*(tuple(i for i in ids if i >= 5)
+                     for ids in (split.train, split.val, split.test)), 3, 5).save(stack5)
+    small = tmp_path / "small.wxpm"
+    M.save_checkpoint(M.build_linear(6, Rng(0), input_hw=(16, 16), fc_widths=(4,)), small)
+    cases = [(pipe["train"] / "final.wxpm", stack5,
+              "(6, 20, 20), split at stack 5 gives (30, 20, 20)"),
+             (small, pipe["splits"], "(6, 16, 16), split at stack 1 gives (6, 20, 20)")]
+    for ckpt, splits, msg in cases:
+        capsys.readouterr()
+        out = tmp_path / "ev"
+        assert run("eval", "--checkpoint", ckpt, "--cube", pipe["cube"],
+                   "--power", pipe["power"], "--splits", splits,
+                   "--out", out) == cli.EXIT_CONFIG
+        assert f"checkpoint wants (C, H, W) = {msg}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_eval_window_slice(pipe, tmp_path):
     d = tmp_path / "win"
     assert run("eval", "--checkpoint", pipe["train"] / "final.wxpm",
@@ -379,12 +401,13 @@ def forbid_reads(monkeypatch, what):
     (["eval", "--window-start", "2019-01-03T00:00:00",
       "--window-end", "2019-01-02T00:00:00"], None),
     (["saliency", "--timestamp", "garbage"], None),
+    (["saliency", "--index", -5], None),
 ], ids=["coarsen-0", "coarsen-negative", "corner-radius-negative",
         "split-stack-flag", "split-stack-config", "train-epochs",
         "train-batch-size", "split-seed-negative", "anomalies-min-len-1",
         "eval-window-start-alone", "eval-window-start-garbage",
         "eval-window-end-config-garbage", "eval-window-reversed",
-        "saliency-timestamp-garbage"])
+        "saliency-timestamp-garbage", "saliency-index-negative"])
 def test_bad_numeric_settings_refused_before_reading_data(
         pipe, tmp_path, monkeypatch, argv, config):
     forbid_reads(monkeypatch, argv)

@@ -612,6 +612,25 @@ def test_align_intersects_and_counts():
     npt.assert_array_equal(ds.cube_idx, [4, 5, 6, 7, 8, 9])
 
 
+def test_align_pairs_match_a_loop_over_stamps():
+    # a gapped cube against a trimmed power series; the reference pairs each
+    # power hour with the cube frame of the same stamp, if there is one
+    t0 = D.parse_timestamp("2019-01-01T00:00:00")
+    kept = np.delete(np.arange(400), [3, 50, 51, 120, 300, 399])
+    cube = D.WeatherCube(np.zeros((len(kept), 6, 2, 2), np.float32), t0 + kept * D.HOUR,
+                         D.BANDS, np.zeros((2, 2), bool))
+    n = 380
+    power = D.PowerSeries(t0 + (10 + np.arange(n)) * D.HOUR, np.ones(n), np.ones(n),
+                          [set() for _ in range(n)])
+    ds = D.align(cube, power)
+    pos = {ts: i for i, ts in enumerate(cube.timestamps.tolist())}
+    pairs = [(pos[ts], pi) for pi, ts in enumerate(power.timestamps.tolist()) if ts in pos]
+    assert ds.cube_idx.dtype == ds.power_idx.dtype == np.int64
+    assert ds.cube_idx.tolist() == [ci for ci, _ in pairs]
+    assert ds.power_idx.tolist() == [pi for _, pi in pairs]
+    assert (ds.dropped_cube, ds.dropped_power) == (len(kept) - len(pairs), n - len(pairs))
+
+
 def test_align_empty_intersection():
     cube = small_cube(t=4)
     start = D.parse_timestamp("2020-06-01T00:00:00")

@@ -255,6 +255,70 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     npt.assert_array_equal(out_a.data, out_b.data)
 
 
+# The order of these records is the .wxpm format: a new layer, a renamed
+# key or a reordered walk changes every checkpoint file.
+RESNET_PARAM_RECORDS = [
+    ("stem.conv.kernel", (4, 6, 7, 7)), ("stem.conv.bias", (4,)),
+    ("stem.bn.gamma", (4,)), ("stem.bn.beta", (4,)),
+    ("s1.b1.conv1.kernel", (2, 4, 1, 1)), ("s1.b1.conv1.bias", (2,)),
+    ("s1.b1.bn1.gamma", (2,)), ("s1.b1.bn1.beta", (2,)),
+    ("s1.b1.conv2.kernel", (2, 2, 3, 3)), ("s1.b1.conv2.bias", (2,)),
+    ("s1.b1.bn2.gamma", (2,)), ("s1.b1.bn2.beta", (2,)),
+    ("s1.b1.conv3.kernel", (8, 2, 1, 1)), ("s1.b1.conv3.bias", (8,)),
+    ("s1.b1.bn3.gamma", (8,)), ("s1.b1.bn3.beta", (8,)),
+    ("s1.b1.proj.kernel", (8, 4, 1, 1)), ("s1.b1.proj.bias", (8,)),
+    ("s1.b1.proj_bn.gamma", (8,)), ("s1.b1.proj_bn.beta", (8,)),
+    ("s2.b1.conv1.kernel", (4, 8, 1, 1)), ("s2.b1.conv1.bias", (4,)),
+    ("s2.b1.bn1.gamma", (4,)), ("s2.b1.bn1.beta", (4,)),
+    ("s2.b1.conv2.kernel", (4, 4, 3, 3)), ("s2.b1.conv2.bias", (4,)),
+    ("s2.b1.bn2.gamma", (4,)), ("s2.b1.bn2.beta", (4,)),
+    ("s2.b1.conv3.kernel", (16, 4, 1, 1)), ("s2.b1.conv3.bias", (16,)),
+    ("s2.b1.bn3.gamma", (16,)), ("s2.b1.bn3.beta", (16,)),
+    ("s2.b1.proj.kernel", (16, 8, 1, 1)), ("s2.b1.proj.bias", (16,)),
+    ("s2.b1.proj_bn.gamma", (16,)), ("s2.b1.proj_bn.beta", (16,)),
+    ("s2.b2.conv1.kernel", (4, 16, 1, 1)), ("s2.b2.conv1.bias", (4,)),
+    ("s2.b2.bn1.gamma", (4,)), ("s2.b2.bn1.beta", (4,)),
+    ("s2.b2.conv2.kernel", (4, 4, 3, 3)), ("s2.b2.conv2.bias", (4,)),
+    ("s2.b2.bn2.gamma", (4,)), ("s2.b2.bn2.beta", (4,)),
+    ("s2.b2.conv3.kernel", (16, 4, 1, 1)), ("s2.b2.conv3.bias", (16,)),
+    ("s2.b2.bn3.gamma", (16,)), ("s2.b2.bn3.beta", (16,)),
+    ("head.fc1.weight", (4, 16)), ("head.fc1.bias", (4,)),
+    ("head.fc2.weight", (2, 4)), ("head.fc2.bias", (2,)),
+]
+RESNET_BUFFER_RECORDS = [
+    ("stem.bn.running_mean", (4,)), ("stem.bn.running_var", (4,)),
+    ("s1.b1.bn1.running_mean", (2,)), ("s1.b1.bn1.running_var", (2,)),
+    ("s1.b1.bn2.running_mean", (2,)), ("s1.b1.bn2.running_var", (2,)),
+    ("s1.b1.bn3.running_mean", (8,)), ("s1.b1.bn3.running_var", (8,)),
+    ("s1.b1.proj_bn.running_mean", (8,)), ("s1.b1.proj_bn.running_var", (8,)),
+    ("s2.b1.bn1.running_mean", (4,)), ("s2.b1.bn1.running_var", (4,)),
+    ("s2.b1.bn2.running_mean", (4,)), ("s2.b1.bn2.running_var", (4,)),
+    ("s2.b1.bn3.running_mean", (16,)), ("s2.b1.bn3.running_var", (16,)),
+    ("s2.b1.proj_bn.running_mean", (16,)), ("s2.b1.proj_bn.running_var", (16,)),
+    ("s2.b2.bn1.running_mean", (4,)), ("s2.b2.bn1.running_var", (4,)),
+    ("s2.b2.bn2.running_mean", (4,)), ("s2.b2.bn2.running_var", (4,)),
+    ("s2.b2.bn3.running_mean", (16,)), ("s2.b2.bn3.running_var", (16,)),
+]
+LINEAR_PARAM_RECORDS = [
+    ("fc1.weight", (12, 2400)), ("fc1.bias", (12,)),
+    ("fc2.weight", (7, 12)), ("fc2.bias", (7,)),
+    ("fc3.weight", (2, 7)), ("fc3.bias", (2,)),
+]
+
+
+@pytest.mark.parametrize("build,params,buffers", [
+    (lambda: M.build_resnet(6, Rng(0), input_hw=(20, 20), stem_width=4,
+                            stage_blocks=(1, 2), stage_widths=(8, 16), head_hidden=4),
+     RESNET_PARAM_RECORDS, RESNET_BUFFER_RECORDS),
+    (lambda: M.build_linear(6, Rng(0), input_hw=(20, 20), fc_widths=(12, 7)),
+     LINEAR_PARAM_RECORDS, []),
+], ids=["resnet", "linear"])
+def test_checkpoint_record_names_shapes_and_order(build, params, buffers):
+    model = build()
+    assert [(k, p.shape) for k, p in model.params.items()] == params
+    assert [(k, b.shape) for k, b in model.buffers.items()] == buffers
+
+
 def tiny_linear_spec():
     return M.ArchitectureSpec("linear", 2, (6, 5), fc_widths=(8, 4), dropout_p=0.1)
 
