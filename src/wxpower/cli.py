@@ -62,7 +62,7 @@ def _timestamp(text: str) -> str:
 SETTINGS = {
     "manifest": str, "frames_dir": str, "cube": str, "power": str,
     "splits": str, "checkpoint": str, "out": str,
-    "coarsen": int, "corner_radius": int, "normalize": _bool,
+    "coarsen": int, "corner_radius": int,
     "model": M.FAMILIES, "stack": D.STACK_CHOICES, "seed": int,
     "epochs": int, "batch_size": int, "l2_lambda": float,
     "stage_length": int, "lrs": _float_list, "adaptive_stages": _bool,
@@ -168,7 +168,6 @@ def cmd_import(args) -> int:
     frames_dir = r.get("frames_dir")
     factor = r.get("coarsen", 1)
     radius = r.get("corner_radius", 0)
-    normalize = r.get("normalize", True)
     out_dir = r.require("out")
     if factor < 1:
         raise ConfigError(f"coarsen must be >= 1, got {factor}")
@@ -187,11 +186,10 @@ def cmd_import(args) -> int:
         print(f"corner radius {radius}: {int(mask.sum())} px masked")
 
     os.makedirs(out_dir, exist_ok=True)
-    if normalize:
-        stats = D.fit_normalizer(cube)
-        stats.save(os.path.join(out_dir, "normalizer.txt"))
-        cube = D.apply_normalizer(cube, stats)
-        print("normalized per band; stats in normalizer.txt")
+    stats = D.fit_normalizer(cube)
+    stats.save(os.path.join(out_dir, "normalizer.txt"))
+    cube = D.apply_normalizer(cube, stats)
+    print("normalized per band; stats in normalizer.txt")
     D.save_cube(cube, os.path.join(out_dir, "cube.wxc"))
     _write_run_files(out_dir, r.used, [manifest])
     print(f"wrote {os.path.join(out_dir, 'cube.wxc')}")
@@ -282,8 +280,16 @@ def _load_power_any(path) -> D.PowerSeries:
 # ---------------------------------------------------------------------------
 # split
 
+def _load_normalized_cube(path) -> D.WeatherCube:
+    """The cube at path, refused unless `import` normalized it."""
+    cube = D.load_cube(path)
+    if not cube.normalized:
+        raise D.DataError(f"{path}: cube is not normalized; import it first")
+    return cube
+
+
 def _load_aligned(cube_path, power_path, exclude: bool = False):
-    cube = D.load_cube(cube_path)
+    cube = _load_normalized_cube(cube_path)
     power = _load_power_any(power_path)
     if exclude:
         for src in ("solar", "wind"):
@@ -316,8 +322,11 @@ def cmd_split(args) -> int:
 
 
 def _load_split(path, ds: D.AlignedDataset) -> D.SplitIndices:
-    """The split file at path; every id in it must be an eligible sample."""
+    """The split file at path: nonempty train and val, every id eligible."""
     split = D.SplitIndices.load(path)
+    for name in ("train", "val"):
+        if not getattr(split, name):
+            raise D.DataError(f"{path}: the {name} group is empty")
     eligible = set(ds.eligible_indices(split.stack))
     bad = [i for i in split.train + split.val + split.test if i not in eligible]
     if bad:
@@ -400,6 +409,9 @@ def cmd_eval(args) -> int:
 
     ds = _load_aligned(cube_path, power_path)
     split = _load_split(splits_path, ds)
+    ids = list(getattr(split, subset))
+    if not ids:
+        raise D.DataError(f"{splits_path}: the {subset} group is empty")
     model = M.load_checkpoint(ckpt_path)
     want = (ds.input_channels(split.stack), *ds.cube.shape[2:])
     got = (model.spec.input_channels, *model.spec.input_hw)
@@ -408,8 +420,6 @@ def cmd_eval(args) -> int:
             f"checkpoint wants (C, H, W) = {got}, split at stack {split.stack} "
             f"gives {want}")
     train_means = tuple(ds.targets(list(split.train)).mean(axis=0))
-
-    ids = list(getattr(split, subset))
     res = O.evaluate(model, ds, ids, split.stack, train_means)
     rep = compute_report(res.pred, res.target, train_means)
     os.makedirs(out_dir, exist_ok=True)
@@ -471,8 +481,8 @@ def cmd_saliency(args) -> int:
     if index is not None and index < 0:
         raise ConfigError(f"index must be >= 0, got {index}")
 
+    cube = _load_normalized_cube(cube_path)
     model = M.load_checkpoint(ckpt_path)
-    cube = D.load_cube(cube_path)
     if stamp is not None:
         want = D.parse_timestamp(stamp)
         hits = np.nonzero(cube.timestamps == want)[0]
@@ -493,8 +503,7 @@ def cmd_saliency(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     for out_idx, name in enumerate(S.OUTPUT_NAMES):
-        smap = S.saliency_map(model, x, out_idx, timestamp=when, stack=stack,
-                              mask=cube.mask)
+        smap = S.saliency_map(model, x, out_idx, timestamp=when, mask=cube.mask)
         S.export_map(smap, os.path.join(out_dir, f"{name}.csv"), "csv")
         S.export_map(smap, os.path.join(out_dir, f"{name}.pgm"), "pgm")
     _write_run_files(out_dir, r.used, [ckpt_path, cube_path])
@@ -529,10 +538,10 @@ def cmd_anomalies(args) -> int:
 # parser
 
 # each subcommand's help line and the settings it takes as flags; a
-# boolean's flag switches it on, or off when spelled "no_<key>"
+# boolean's flag switches it on
 COMMANDS = {
     "import": ("frame files -> normalized cube",
-               "manifest frames_dir coarsen corner_radius no_normalize"),
+               "manifest frames_dir coarsen corner_radius"),
     "synth": ("generate a synthetic dataset", "hours grid noise corner_radius"),
     "split": ("deterministic train/val/test id split",
               "cube power stack exclude_anomalies"),
@@ -549,12 +558,11 @@ FLAG_HELP = {"out": "output file or directory",
              "lrs": "4 comma-separated stage rates"}
 
 
-def _add_flag(p: argparse.ArgumentParser, name: str) -> None:
-    key = name.removeprefix("no_")
+def _add_flag(p: argparse.ArgumentParser, key: str) -> None:
     rule = SETTINGS[key]
-    flag = "--" + name.replace("_", "-")
+    flag = "--" + key.replace("_", "-")
     if rule is _bool:
-        p.add_argument(flag, dest=key, action="store_const", const=name == key)
+        p.add_argument(flag, dest=key, action="store_const", const=True)
     elif isinstance(rule, tuple):
         p.add_argument(flag, dest=key, type=type(rule[0]), choices=rule)
     else:

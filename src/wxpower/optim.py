@@ -6,8 +6,9 @@ batch, plus an L2 penalty on every parameter. The penalty's gradient
 same block-wise pass that updates the moments and the parameter, so a step
 allocates no parameter-sized temporary. add_l2_gradients is the unfused
 reference for that term. Training runs a fixed number of epochs
-through exactly four learning-rate stages; optionally a stage can end
-early once validation RMSE has stopped improving (patience 2).
+through exactly four learning-rate stages. The stage index alone sets the
+rate, and one rule ends a stage: every stage_length epochs, or with adaptive
+stages once validation RMSE has stopped improving (patience 2).
 """
 
 from __future__ import annotations
@@ -262,9 +263,7 @@ class TrainRun:
     history: list
     train_mean_solar: float
     train_mean_wind: float
-    final_train: EvalResult
     final_val: EvalResult
-    checkpoints: dict     # label -> path (empty when out_dir is None)
 
 
 def evaluate(model: Model, dataset, ids, stack: int, train_means,
@@ -313,8 +312,12 @@ def train(model: Model, dataset, split, config: TrainConfig,
     `split` needs .train, .val and .stack. Per epoch: shuffled batches
     (keyed by config.seed and the epoch), forward in train mode, pooled
     RMSE backward, ADAM step with the L2 gradient folded in; then a full eval-mode pass over
-    the train and val splits for the history row. Stage checkpoints and
-    history land in out_dir when given. Raises NumericError on the first
+    the train and val splits for the history row. The epoch trains at
+    schedule.stage_lrs[stage]; after its row the stage ends every
+    stage_length epochs, or with adaptive_stages once val RMSE has not
+    improved for 2 epochs while a later stage and epoch remain. An ended
+    stage k is saved as out_dir/stage<k>.wxpm, beside final.wxpm and
+    history.csv. Raises NumericError on the first
     non-finite loss, and ValueError before the first step when a ResNet
     with a 1x1 last stage would get a one-sample batch.
     """
@@ -345,10 +348,7 @@ def train(model: Model, dataset, split, config: TrainConfig,
     drop_rng = Rng(config.seed)
     sched = config.schedule
     history: list[EpochStats] = []
-    checkpoints: dict[str, str] = {}
-    stage = 0
-    best_val = np.inf
-    stall = 0
+    stage, stall, best_val = 0, 0, np.inf  # the whole schedule state
 
     def say(msg):
         if log:
@@ -358,16 +358,7 @@ def train(model: Model, dataset, split, config: TrainConfig,
         f"{len(train_ids)} train / {len(val_ids)} val samples, stack {stack}")
 
     for epoch in range(config.epochs):
-        if config.adaptive_stages:
-            if stall >= 2 and stage < len(sched.stage_lrs) - 1:
-                stage += 1
-                stall = 0
-                say(f"epoch {epoch}: validation stalled, advancing to stage {stage + 1}")
-            lr = sched.stage_lrs[stage]
-        else:
-            lr = lr_for_epoch(sched, epoch)
-            stage = epoch // sched.stage_length
-
+        lr = sched.stage_lrs[stage]
         model.train()
         for batch_ids in iter_batches(train_ids, config.batch_size, config.seed, epoch):
             x, y = dataset.make_batch(batch_ids, stack)
@@ -395,20 +386,23 @@ def train(model: Model, dataset, split, config: TrainConfig,
         else:
             stall += 1
 
-        boundary = (not config.adaptive_stages
-                    and (epoch + 1) % sched.stage_length == 0)
-        if out_dir is not None and boundary:
-            path = os.path.join(out_dir, f"stage{stage + 1}.wxpm")
-            save_checkpoint(model, path)
-            checkpoints[f"stage{stage + 1}"] = path
+        if config.adaptive_stages:
+            stage_ends = (stall >= 2 and stage + 1 < len(sched.stage_lrs)
+                          and epoch + 1 < config.epochs)
+        else:
+            stage_ends = (epoch + 1) % sched.stage_length == 0
+        if stage_ends:
+            if out_dir is not None:
+                save_checkpoint(model, os.path.join(out_dir, f"stage{stage + 1}.wxpm"))
+            stage += 1
+            stall = 0
+            if config.adaptive_stages:
+                say(f"epoch {epoch + 1}: validation stalled, advancing to stage {stage + 1}")
 
     model.eval()
     if out_dir is not None:
-        path = os.path.join(out_dir, "final.wxpm")
-        save_checkpoint(model, path)
-        checkpoints["final"] = path
+        save_checkpoint(model, os.path.join(out_dir, "final.wxpm"))
         with open(os.path.join(out_dir, "history.csv"), "w") as fh:
             fh.write(_history_csv(history))
 
-    return TrainRun(history, float(train_means[0]), float(train_means[1]),
-                    tr, va, checkpoints)
+    return TrainRun(history, float(train_means[0]), float(train_means[1]), va)

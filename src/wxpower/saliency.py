@@ -21,7 +21,6 @@ class SaliencyMap:
     values: np.ndarray              # (H, W) floats, all >= 0
     source: str                     # "solar" or "wind"
     timestamp: str = ""             # sample hour, if known
-    stack: int = 1                  # frames stacked into the input
     mask: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -37,7 +36,7 @@ class SaliencyMap:
 
 
 def saliency_map(model: Model, x, output_index: int, *, timestamp: str = "",
-                 stack: int = 1, mask=None) -> SaliencyMap:
+                 mask=None) -> SaliencyMap:
     """Gradient saliency of one output w.r.t. one input sample.
 
     `x` is a single sample shaped (1, C, H, W) (Tensor or array). The model
@@ -68,7 +67,7 @@ def saliency_map(model: Model, x, output_index: int, *, timestamp: str = "",
 
     values = np.max(np.abs(grad[0]), axis=0)
     return SaliencyMap(values, OUTPUT_NAMES[output_index],
-                       timestamp=timestamp, stack=stack, mask=mask)
+                       timestamp=timestamp, mask=mask)
 
 
 def top_k_indices(smap: SaliencyMap, k: int) -> list[tuple[int, int]]:

@@ -50,9 +50,6 @@ __all__ = [
     "clear_grads",
 ]
 
-_FLOAT_DTYPES = (np.float32, np.float64)
-
-
 class ShapeError(ValueError):
     """An operand violated an op's shape/dtype contract."""
 

@@ -225,6 +225,47 @@ def test_train_rejects_trailing_one_sample_batch(pipe, tmp_path, capsys):
     assert "training resnet" not in captured.out
     assert not (d / "history.csv").exists()
 
+def forbid_model_work(monkeypatch, what):
+    """Make building a model and loading a checkpoint fail the test."""
+    def spy(*args, **kwargs):
+        raise AssertionError(f"model work for {what}")
+
+    for fn in ("build_linear", "build_resnet", "load_checkpoint"):
+        monkeypatch.setattr(M, fn, spy)
+
+
+@pytest.mark.parametrize("cmd,case", [
+    ("split", "raw-cube"), ("train", "raw-cube"), ("eval", "raw-cube"),
+    ("saliency", "raw-cube"), ("train", "empty-train"), ("train", "empty-val"),
+    ("eval", "empty-train"), ("eval", "empty-val"), ("eval", "empty-test")])
+def test_unusable_inputs_are_data_errors_before_any_model_work(
+        pipe, tmp_path, monkeypatch, capsys, cmd, case):
+    # the synth cube is the raw one; a split group left empty has nothing
+    # to train on, to score against or to take train means from (eval
+    # scores its --subset test)
+    split = D.SplitIndices.load(pipe["splits"])
+    groups = {"train": split.train, "val": split.val, "test": split.test}
+    if case.startswith("empty-"):
+        groups[case.removeprefix("empty-")] = ()
+    splits = tmp_path / "splits.txt"
+    D.SplitIndices(groups["train"], groups["val"], groups["test"], 3, 1).save(splits)
+    cube = pipe["synth"] / "cube.wxc" if case == "raw-cube" else pipe["cube"]
+    ckpt = pipe["train"] / "final.wxpm"
+    argv = {"split": ["--power", pipe["power"]],
+            "train": ["--power", pipe["power"], "--splits", splits],
+            "eval": ["--checkpoint", ckpt, "--power", pipe["power"],
+                     "--splits", splits, "--subset", "test"],
+            "saliency": ["--checkpoint", ckpt, "--index", 3]}[cmd]
+    forbid_model_work(monkeypatch, (cmd, case))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(cmd, "--cube", cube, *argv, "--out", out) == cli.EXIT_DATA
+    want = ("cube is not normalized" if case == "raw-cube"
+            else f"the {case.removeprefix('empty-')} group is empty")
+    assert want in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_reports(pipe, tmp_path):
     d = tmp_path / "ev"
     assert run("eval", "--checkpoint", pipe["train"] / "final.wxpm",
@@ -402,12 +443,14 @@ def forbid_reads(monkeypatch, what):
       "--window-end", "2019-01-02T00:00:00"], None),
     (["saliency", "--timestamp", "garbage"], None),
     (["saliency", "--index", -5], None),
+    (["import"], "normalize=0\n"),
 ], ids=["coarsen-0", "coarsen-negative", "corner-radius-negative",
         "split-stack-flag", "split-stack-config", "train-epochs",
         "train-batch-size", "split-seed-negative", "anomalies-min-len-1",
         "eval-window-start-alone", "eval-window-start-garbage",
         "eval-window-end-config-garbage", "eval-window-reversed",
-        "saliency-timestamp-garbage", "saliency-index-negative"])
+        "saliency-timestamp-garbage", "saliency-index-negative",
+        "import-normalize-key-gone"])
 def test_bad_numeric_settings_refused_before_reading_data(
         pipe, tmp_path, monkeypatch, argv, config):
     forbid_reads(monkeypatch, argv)
@@ -431,7 +474,7 @@ def test_bad_numeric_settings_refused_before_reading_data(
 
 # each subcommand's flags beside --help, --config, --seed and --out
 SUBCOMMAND_FLAGS = {
-    "import": "--manifest --frames-dir --coarsen --corner-radius --no-normalize",
+    "import": "--manifest --frames-dir --coarsen --corner-radius",
     "synth": "--hours --grid --noise --corner-radius",
     "split": "--cube --power --stack --exclude-anomalies",
     "train": "--cube --power --splits --model --epochs --batch-size --l2-lambda "

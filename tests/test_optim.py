@@ -343,10 +343,14 @@ def quick_config(**kw):
 def test_train_records_history_and_checkpoints(tmp_path):
     ds = toy_problem()
     split = SplitStub(train=list(range(16)), val=list(range(16, 24)), stack=1)
-    run = O.train(toy_model(), ds, split, quick_config(), out_dir=tmp_path)
+    config = quick_config()
+    run = O.train(toy_model(), ds, split, config, out_dir=tmp_path)
     assert len(run.history) == 8
     assert [h.stage for h in run.history] == [0, 0, 1, 1, 2, 2, 3, 3]
     assert [h.lr for h in run.history][::2] == [1e-3, 3e-4, 1e-4, 3e-5]
+    # the rates train ran at are the schedule's, as lr_for_epoch states it
+    want = [O.lr_for_epoch(config.schedule, e) for e in range(8)]
+    assert [h.lr for h in run.history] == want
     assert all(np.isfinite(h.val_rmse) for h in run.history)
     assert run.train_mean_solar > 0 and run.train_mean_wind > 0
     for label in ("stage1", "stage2", "stage3", "stage4", "final"):
@@ -354,6 +358,7 @@ def test_train_records_history_and_checkpoints(tmp_path):
     assert (tmp_path / "history.csv").exists()
     lines = (tmp_path / "history.csv").read_text().strip().splitlines()
     assert len(lines) == 9 and lines[0].startswith("epoch,stage,lr")
+    assert [float(line.split(",")[2]) for line in lines[1:]] == want
     loaded = M.load_checkpoint(tmp_path / "final.wxpm")
     assert loaded.spec.family == "linear"
 
@@ -404,16 +409,44 @@ def test_train_numeric_error_on_poisoned_weights():
         O.train(model, ds, split, quick_config())
 
 
-def test_train_adaptive_stages_advance_on_plateau():
-    ds = toy_problem()
-    split = SplitStub(train=list(range(16)), val=list(range(16, 24)), stack=1)
+def dead_toy_model():
     model = toy_model()
     for p in model.params.values():
         p.data[:] = 0.0  # dead relu network: loss is exactly constant
-    run = O.train(model, ds, split, quick_config(adaptive_stages=True))
+    return model
+
+
+def test_train_adaptive_stages_advance_on_plateau(tmp_path):
+    ds = toy_problem()
+    split = SplitStub(train=list(range(16)), val=list(range(16, 24)), stack=1)
+    lines = []
+    run = O.train(dead_toy_model(), ds, split, quick_config(adaptive_stages=True),
+                  out_dir=tmp_path, log=lines.append)
     assert [h.stage for h in run.history] == [0, 0, 0, 1, 1, 2, 2, 3]
     lrs = O.StageSchedule().stage_lrs
     assert [h.lr for h in run.history] == [lrs[s] for s in [0, 0, 0, 1, 1, 2, 2, 3]]
+    # each advance is announced right after the epoch that ended the stage
+    # and saves that stage; the last stage never ends early
+    advances = [i for i, line in enumerate(lines) if "validation stalled" in line]
+    assert [lines[i] for i in advances] == [
+        f"epoch {e}: validation stalled, advancing to stage {k}"
+        for e, k in ((3, 2), (5, 3), (7, 4))]
+    assert [lines[i - 1].split()[1] for i in advances] == ["2", "4", "6"]
+    for k in (1, 2, 3):
+        assert M.load_checkpoint(tmp_path / f"stage{k}.wxpm").spec.family == "linear"
+    assert not (tmp_path / "stage4.wxpm").exists()
+
+
+def test_train_adaptive_stall_on_the_last_epoch_ends_no_stage(tmp_path):
+    ds = toy_problem()
+    split = SplitStub(train=list(range(16)), val=list(range(16, 24)), stack=1)
+    lines = []
+    run = O.train(dead_toy_model(), ds, split,
+                  quick_config(adaptive_stages=True, epochs=3),
+                  out_dir=tmp_path, log=lines.append)
+    assert [h.stage for h in run.history] == [0, 0, 0]
+    assert not any("validation stalled" in line for line in lines)
+    assert sorted(p.name for p in tmp_path.glob("*.wxpm")) == ["final.wxpm"]
 
 
 def test_train_requires_positive_train_means():

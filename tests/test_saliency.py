@@ -92,7 +92,7 @@ def test_linear_map_matches_fd_jacobian():
 def test_resnet_map_shape_and_nonnegative():
     model = tiny_resnet().eval()
     x = np.random.default_rng(4).normal(size=(1, 6, 16, 16)).astype(np.float32)
-    m = S.saliency_map(model, x, 1, timestamp="2019-06-01T12", stack=1)
+    m = S.saliency_map(model, x, 1, timestamp="2019-06-01T12")
     assert m.values.shape == (16, 16)
     assert (m.values >= 0.0).all()
     assert m.source == "wind" and m.timestamp == "2019-06-01T12"
