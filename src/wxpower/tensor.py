@@ -2,9 +2,19 @@
 
 A Tensor wraps a contiguous numpy array (float32 by default, float64 for
 high-precision gradient checking). Operations executed while a Tape is
-active append an OpRecord (inputs, output, backward rule); backward() walks
-the records in reverse and accumulates gradients into the leaf tensors that
-asked for them.
+active append an OpRecord; backward() walks the records in reverse and
+accumulates gradients into the leaf tensors that asked for them.
+
+What a record holds: the op's name, its output's shape and dtype, its
+backward rule, and one key per input: the index of the record that
+produced the input on this tape, the input itself when it is a
+grad-requiring leaf, or None for a constant. A record never holds the
+op's output or a produced input, so the tape retains only what the rules
+capture in their closures, and an intermediate that the caller drops is
+freed at once. A produced tensor finds its record through its `origin`
+slot (tape key, record index), which stays valid however numpy reuses
+memory and Python reuses object ids. A tape runs backward() once: each
+rule is dropped, with every array it captured, right after it has run.
 
 Design rules the ops below follow:
 
@@ -19,6 +29,7 @@ Design rules the ops below follow:
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -60,9 +71,11 @@ class Tensor:
     data          contiguous numpy array, float32 or float64
     requires_grad leaf flag: backward() deposits into .grad
     grad          numpy array of data's shape, or None
+    origin        (tape key, record index) of the op that produced it on a
+                  tape, or None
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "origin")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         if data.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -72,6 +85,7 @@ class Tensor:
         self.data = np.ascontiguousarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.origin: tuple[int, int] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -115,14 +129,20 @@ def from_array(array, dtype=np.float32, requires_grad: bool = False) -> Tensor:
 # Tape
 
 class OpRecord:
-    __slots__ = ("name", "inputs", "output", "rule")
+    __slots__ = ("name", "inputs", "shape", "dtype", "rule")
 
-    def __init__(self, name, inputs, output, rule):
+    def __init__(self, name, inputs, shape, dtype, rule):
         self.name = name
+        # per input: producing record's index (int), grad-requiring leaf
+        # (Tensor), or None for a constant
         self.inputs = inputs
-        self.output = output
+        self.shape = shape  # of the output, for backward()'s seed check
+        self.dtype = dtype
         # rule(output_grad) -> tuple of input grads (None where not needed)
         self.rule = rule
+
+
+_TAPE_KEYS = itertools.count()
 
 
 class Tape:
@@ -130,7 +150,8 @@ class Tape:
 
     def __init__(self):
         self.ops: list[OpRecord] = []
-        self._produced: set[int] = set()  # ids of tensors output by ops on this tape
+        self.key = next(_TAPE_KEYS)  # names this tape in Tensor.origin
+        self.consumed = False        # backward() has run
 
     def __enter__(self) -> "Tape":
         _stack().append(self)
@@ -164,19 +185,30 @@ def record(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     """Wrap out_data as a tensor; record the op if a tape is active.
 
     An op is recorded when any input is a grad-requiring leaf or was itself
-    produced by an op on the active tape, so chains stay connected. `rule`
-    maps the output gradient to one gradient (or None) per input, in order,
-    and runs at most once per backward() call: not at all when no gradient
-    reaches the op's output. Public so layers can register
+    produced by an op on the active tape, so chains stay connected; a
+    tensor produced on another tape counts as a constant. The record keeps
+    a key per input (see the module docstring) and the output's shape and
+    dtype, never the tensors, so `rule` must capture in its closure every
+    array it reads. `rule` maps the output gradient to one gradient (or
+    None) per input, in order, and runs at most once: not at all when no
+    gradient reaches the op's output. Public so layers can register
     fused ops (batchnorm, losses) without touching tape internals.
     """
     out = Tensor(out_data, requires_grad=False)
     tape = _active_tape()
-    if tape is not None and any(
-            t.requires_grad or id(t) in tape._produced for t in inputs):
-        tape.ops.append(OpRecord(name, tuple(inputs), out, rule))
-        tape._produced.add(id(out))
+    if tape is None:
+        return out
+    keys = tuple(_input_key(tape, t) for t in inputs)
+    if any(k is not None for k in keys):
+        out.origin = (tape.key, len(tape.ops))
+        tape.ops.append(OpRecord(name, keys, out.shape, out.dtype, rule))
     return out
+
+
+def _input_key(tape: Tape, t: Tensor):
+    if t.origin is not None and t.origin[0] == tape.key:
+        return t.origin[1]
+    return t if t.requires_grad else None
 
 
 def _check_same(a: Tensor, b: Tensor, op: str) -> None:
@@ -477,43 +509,45 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
 def backward(tape: Tape, seed: Tensor) -> None:
     """Accumulate d(final)/d(leaf) into .grad of every requiring leaf.
 
-    `seed` must match the final op's output shape (the usual call seeds a
-    1-element loss with ones). Rules run in reverse order, each at most
-    once: an op whose output received no gradient is skipped, and leaves
-    that no gradient reaches get zeros deposited.
+    `seed` must match the final op's output shape and dtype (the usual call
+    seeds a 1-element loss with ones). Rules run in reverse order, each at
+    most once: an op whose output received no gradient is skipped, and
+    leaves that no gradient reaches get zeros deposited. Pending gradients
+    are keyed by record index and by leaf; a gradient for a constant input
+    is dropped at once. Each record, with its rule and the arrays the rule
+    captured, is freed as soon as the walk passes it, so the tape ends
+    empty. A tape runs backward() once: a second call raises RuntimeError.
     """
-    if not tape.ops:
-        return
-    final = tape.ops[-1].output
-    if seed.shape != final.shape:
-        raise ShapeError(f"backward: seed shape {seed.shape} != final output {final.shape}")
-    if seed.dtype != final.dtype:
-        raise ShapeError(f"backward: seed dtype {seed.dtype} != final output {final.dtype}")
+    if tape.consumed:
+        raise RuntimeError("backward: this tape's backward() has already run")
+    ops = tape.ops
+    if ops:
+        if seed.shape != ops[-1].shape:
+            raise ShapeError(f"backward: seed shape {seed.shape} != final output {ops[-1].shape}")
+        if seed.dtype != ops[-1].dtype:
+            raise ShapeError(f"backward: seed dtype {seed.dtype} != final output {ops[-1].dtype}")
+    tape.consumed = True
 
-    leaves: dict[int, Tensor] = {}
-    for op in tape.ops:
-        for t in op.inputs:
-            if t.requires_grad and id(t) not in tape._produced:
-                leaves[id(t)] = t
-
-    grads: dict[int, np.ndarray] = {id(final): seed.data.copy()}
-    for op in reversed(tape.ops):
-        g = grads.pop(id(op.output), None)
+    # dict for a first-seen order; Tensor hashes by identity
+    leaves = dict.fromkeys(k for op in ops for k in op.inputs if isinstance(k, Tensor))
+    grads: dict = {len(ops) - 1: seed.data.copy()}
+    while ops:
+        op = ops.pop()
+        g = grads.pop(len(ops), None)
         if g is None:
             continue
         in_grads = op.rule(g)
         if len(in_grads) != len(op.inputs):
             raise RuntimeError(f"op {op.name}: rule returned {len(in_grads)} grads for {len(op.inputs)} inputs")
-        for t, ig in zip(op.inputs, in_grads):
-            if ig is None:
+        for key, ig in zip(op.inputs, in_grads):
+            if ig is None or key is None:
                 continue
-            key = id(t)
             prev = grads.get(key)
             # allocate on fan-in; stored arrays are never mutated in place
             grads[key] = ig if prev is None else prev + ig
 
-    for key, leaf in leaves.items():
-        g = grads.get(key)
+    for leaf in leaves:
+        g = grads.get(leaf)
         if g is None:
             g = np.zeros_like(leaf.data)
         # deposited arrays may alias each other (e.g. add hands the same

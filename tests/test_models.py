@@ -232,6 +232,38 @@ def test_input_gradient_flows_to_leaf():
     assert np.abs(x.grad).max() > 0.0
 
 
+def test_train_step_gradients_do_not_depend_on_kept_intermediates(monkeypatch):
+    # a lean tape keys records by index, not by id(); a caller that drops
+    # every intermediate before backward() frees them and lets their ids
+    # be reused, and must still get the same gradients, bit for bit
+    x = np.random.default_rng(3).normal(size=(4, 2, 16, 16))
+
+    def step():
+        model = M.build_model(tiny_resnet_spec(), Rng(12), dtype=np.float64)
+        with T.Tape() as tape:
+            loss = T.reduce_sum(M.model_forward(model, T.from_array(x, dtype=np.float64)))
+            seed = T.create(loss.shape, 1.0, dtype=np.float64)
+            del loss
+            T.backward(tape, seed)
+        return {k: p.grad for k, p in model.params.items()}
+
+    dropped = step()
+    kept_outputs = []
+    record = T.record
+
+    def keeping_record(*args, **kwargs):
+        out = record(*args, **kwargs)
+        kept_outputs.append(out)
+        return out
+
+    monkeypatch.setattr(T, "record", keeping_record)
+    kept = step()
+    assert len(kept_outputs) > 20
+    assert dropped.keys() == kept.keys()
+    for k in kept:
+        npt.assert_array_equal(dropped[k], kept[k], err_msg=k)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.signal import correlate2d
 
+from wxpower import layers as L
 from wxpower import tensor as T
 
 from fd import numeric_grad, max_rel_err
@@ -314,6 +315,31 @@ def test_empty_tape_backward_is_noop():
     T.backward(tape, T.create([1], 1.0))
 
 
+def test_second_backward_on_a_tape_raises():
+    x = t64([1.0, 2.0])
+    with T.Tape() as tape:
+        T.reduce_sum(T.mul(x, x))
+        T.backward(tape, T.create([1], 1.0, dtype=np.float64))
+        with pytest.raises(RuntimeError):
+            T.backward(tape, T.create([1], 1.0, dtype=np.float64))
+    npt.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_outer_tape_output_is_a_constant_on_an_inner_tape():
+    x = t64([1.0, 2.0])
+    with T.Tape() as outer:
+        y = T.mul(x, x)
+        assert y.origin == (outer.key, 0)
+        with T.Tape() as inner:
+            T.scale(y, 3.0)
+            assert inner.ops == []
+            z = T.mul(y, x)
+            assert inner.ops[0].inputs == (None, x)
+            T.backward(inner, T.create(z.shape, 1.0, dtype=np.float64))
+        assert outer.ops[0].inputs == (x, x)
+    npt.assert_array_equal(x.grad, y.data)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference gradient checks (float64, independent oracle)
 
@@ -393,6 +419,32 @@ def test_taped_relu_keeps_nothing_beside_its_output():
         tracemalloc.stop()
     assert len(tape.ops) == 1
     assert held < 1.1 * y.data.nbytes, (held, y.data.nbytes)
+
+
+def test_tape_holds_only_what_the_rules_capture():
+    # conv2d keeps its padded input, batchnorm its xhat and relu its output;
+    # the conv and batchnorm outputs die as soon as the chain drops them
+    rng = np.random.default_rng(4)
+    x = T.from_array(rng.normal(size=(8, 4, 32, 32)), requires_grad=True)
+    k = T.from_array(rng.normal(size=(16, 4, 3, 3)), requires_grad=True)
+    b = T.create([16], 0.0, requires_grad=True)
+    bn = L.BatchNorm2d(16)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with T.Tape() as tape:
+            y = T.relu(L.batchnorm2d_forward(bn, T.conv2d(x, k, b, pad=1), "train"))
+        held = tracemalloc.get_traced_memory()[0] - base
+        T.backward(tape, T.create(y.shape, 1.0))
+        before_drop = tracemalloc.get_traced_memory()[0]
+        del tape
+        tape_after_backward = before_drop - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    padded = 8 * 4 * 34 * 34 * 4
+    captured = padded + 2 * y.data.nbytes  # padded input, xhat, relu output
+    assert held < captured + 0.1 * y.data.nbytes, (held, captured)
+    assert tape_after_backward < 4096, tape_after_backward
 
 
 def test_grad_add_bias():
