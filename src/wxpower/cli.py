@@ -213,21 +213,19 @@ def cmd_synth(args) -> int:
     except D.DataError as e:
         raise ConfigError(str(e)) from None
 
-    os.makedirs(out_dir, exist_ok=True)
-    frames_dir = os.path.join(out_dir, "frames")
-    os.makedirs(frames_dir, exist_ok=True)
     cube = result.cube
-    D.save_cube(cube, os.path.join(out_dir, "cube.wxc"))
+    _, c, h, w = cube.shape
+    stamps = [D.format_timestamp(ts) for ts in cube.timestamps]
+    os.makedirs(os.path.join(out_dir, "frames"), exist_ok=True)
 
     # import-compatible raw frame files; masked pixels ride along as NaN
     rows = []
-    for i in range(cube.shape[0]):
+    for i, stamp in enumerate(stamps):
         frame = cube.frames[i].astype("<f4")
         frame[:, cube.mask] = np.nan
-        name = f"frame_{i:05d}.f32"
-        frame.tofile(os.path.join(frames_dir, name))
-        rows.append((D.format_timestamp(cube.timestamps[i]), f"frames/{name}",
-                     cube.shape[2], cube.shape[3], cube.shape[1]))
+        rel = f"frames/frame_{i:05d}.f32"
+        frame.tofile(os.path.join(out_dir, rel))
+        rows.append((stamp, rel, h, w, c))
     with open(os.path.join(out_dir, "manifest.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["timestamp", "path", "height", "width", "channels"])
@@ -238,17 +236,14 @@ def cmd_synth(args) -> int:
     with open(os.path.join(out_dir, "plants.csv"), "w") as fh:
         fh.write("source,row,col\n")
         for src in ("solar", "wind"):
-            pts = np.argwhere(result.plant_masks[src])
-            for (pi, pj) in pts:
+            for (pi, pj) in np.argwhere(result.plant_masks[src]):
                 fh.write(f"{src},{pi},{pj}\n")
     with open(os.path.join(out_dir, "truth.csv"), "w") as fh:
         fh.write("timestamp,solar_mw,wind_mw\n")
-        for i in range(cube.shape[0]):
-            fh.write(f"{D.format_timestamp(cube.timestamps[i])},"
-                     f"{result.solar_truth[i]:.9g},{result.wind_truth[i]:.9g}\n")
+        for stamp, solar, wind in zip(stamps, result.solar_truth, result.wind_truth):
+            fh.write(f"{stamp},{solar:.9g},{wind:.9g}\n")
     _write_run_files(out_dir, r.used, [])
-    print(f"synthesized {cube.shape[0]} hours on a {cube.shape[2]}x{cube.shape[3]} "
-          f"grid into {out_dir}")
+    print(f"synthesized {len(stamps)} hours on a {h}x{w} grid into {out_dir}")
     return EXIT_OK
 
 
@@ -393,6 +388,15 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
+def _check_fit(model, cube, stack: int, given_by: str) -> None:
+    """Refuse a checkpoint whose input is not `cube`'s frames at `stack`."""
+    want = (cube.shape[1] * len(D.STACK_OFFSETS[stack]), *cube.shape[2:])
+    got = (model.spec.input_channels, *model.spec.input_hw)
+    if got != want:
+        raise ConfigError(f"checkpoint wants (C, H, W) = {got}, "
+                          f"{given_by} at stack {stack} gives {want}")
+
+
 def cmd_eval(args) -> int:
     r = Resolver(args)
     ckpt_path = r.require("checkpoint")
@@ -413,12 +417,7 @@ def cmd_eval(args) -> int:
     if not ids:
         raise D.DataError(f"{splits_path}: the {subset} group is empty")
     model = M.load_checkpoint(ckpt_path)
-    want = (ds.input_channels(split.stack), *ds.cube.shape[2:])
-    got = (model.spec.input_channels, *model.spec.input_hw)
-    if got != want:
-        raise ConfigError(
-            f"checkpoint wants (C, H, W) = {got}, split at stack {split.stack} "
-            f"gives {want}")
+    _check_fit(model, ds.cube, split.stack, "split")
     train_means = tuple(ds.targets(list(split.train)).mean(axis=0))
     res = O.evaluate(model, ds, ids, split.stack, train_means)
     rep = compute_report(res.pred, res.target, train_means)
@@ -492,12 +491,10 @@ def cmd_saliency(args) -> int:
     if not 0 <= index < cube.shape[0]:
         raise D.DataError(f"frame index {index} outside 0..{cube.shape[0] - 1}")
 
-    per_frame = cube.shape[1]
-    stack, rem = divmod(model.spec.input_channels, per_frame)
-    if rem or stack not in D.STACK_OFFSETS:
-        raise ConfigError(
-            f"checkpoint wants {model.spec.input_channels} channels, cube frames "
-            f"have {per_frame}: no supported stacking bridges them")
+    # the stack whose frames make up the checkpoint's channels; stack 1 when
+    # none does, so that the refusal names the cube's own frame
+    stack = model.spec.input_channels // cube.shape[1]
+    _check_fit(model, cube, stack if stack in D.STACK_OFFSETS else 1, "cube")
     x = D.stacked_input(cube, index, stack)[None]
     when = D.format_timestamp(cube.timestamps[index])
 

@@ -152,6 +152,8 @@ def load_frames(manifest_path, frames_dir=None) -> WeatherCube:
                 h, w, c = int(row[2]), int(row[3]), int(row[4])
             except ValueError as e:
                 raise DataError(f"{manifest_path}:{lineno}: bad extents") from e
+            if min(h, w, c) < 1:
+                raise DataError(f"{manifest_path}:{lineno}: extents {h}x{w}x{c} must be positive")
             rows.append((ts, row[1].strip(), h, w, c))
     if not rows:
         raise DataError(f"{manifest_path}: no frames listed")
@@ -843,15 +845,20 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     cut-in/cut-out applied to the wind-speed band at the wind plant
     pixels. Every hourly value is emitted as 12 identical 5-minute CSV
     readings, so aggregation reproduces it exactly. Deterministic per seed.
+    The bands draw their float64 fields one at a time, in BANDS order, each
+    straight into the float32 frames, so only one (T, H, W) field is alive.
     """
     h, w, t = cfg.height, cfg.width, cfg.n_hours
     mask = corner_mask(h, w, cfg.corner_radius)
+    masks = {}
     for src, plants in (("solar", cfg.solar_plants), ("wind", cfg.wind_plants)):
+        masks[src] = np.zeros((h, w), dtype=bool)
         for (pi, pj) in plants:
             if not (0 <= pi < h and 0 <= pj < w):
                 raise DataError(f"{src} plant {(pi, pj)} outside {h}x{w} grid")
             if mask[pi, pj]:
                 raise DataError(f"{src} plant {(pi, pj)} sits on a masked pixel")
+            masks[src][pi, pj] = True
 
     gen = np.random.Generator(np.random.PCG64(cfg.seed))
     start = parse_timestamp(cfg.start)
@@ -859,23 +866,25 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     hours_of_day = ((stamps - stamps.astype("datetime64[D]")) / HOUR).astype(np.float64)
     ins = insolation(hours_of_day)
 
-    f = [_smooth_fields(gen, t, h, w) for _ in range(len(BANDS))]
-    frames = np.empty((t, len(BANDS), h, w), dtype=np.float32)
-    frames[:, 0] = 101000.0 + 300.0 * f[0]
-    frames[:, 1] = 15.0 + 8.0 * f[1] + 6.0 * ins[:, None, None]
-    frames[:, 2] = np.clip(0.008 + 0.004 * f[2], 0.0, None)
-    frames[:, 3] = np.clip(8.0 + 5.0 * f[3], 0.0, None)
-    frames[:, 4] = (180.0 + 180.0 * f[4]) % 360.0
-    frames[:, 5] = np.clip(50.0 + 50.0 * f[5], 0.0, 100.0)
+    def field():
+        return _smooth_fields(gen, t, h, w)
 
-    cloud_frac = frames[:, 5].astype(np.float64) / 100.0
-    speed = frames[:, 3].astype(np.float64)
+    frames = np.empty((t, len(BANDS), h, w), dtype=np.float32)
+    frames[:, 0] = 101000.0 + 300.0 * field()
+    frames[:, 1] = 15.0 + 8.0 * field() + 6.0 * ins[:, None, None]
+    frames[:, 2] = np.clip(0.008 + 0.004 * field(), 0.0, None)
+    frames[:, 3] = np.clip(8.0 + 5.0 * field(), 0.0, None)
+    frames[:, 4] = (180.0 + 180.0 * field()) % 360.0
+    frames[:, 5] = np.clip(50.0 + 50.0 * field(), 0.0, 100.0)
+
     solar = np.zeros(t)
     for (pi, pj) in cfg.solar_plants:
-        solar += cfg.solar_scale * ins * (1.0 - cloud_frac[:, pi, pj])
+        cloud_frac = frames[:, 5, pi, pj].astype(np.float64) / 100.0
+        solar += cfg.solar_scale * ins * (1.0 - cloud_frac)
     wind = np.zeros(t)
     for (pi, pj) in cfg.wind_plants:
-        wind += cfg.wind_scale * _wind_response(speed[:, pi, pj], cfg.wind_cut_in,
+        speed = frames[:, 3, pi, pj].astype(np.float64)
+        wind += cfg.wind_scale * _wind_response(speed, cfg.wind_cut_in,
                                                 cfg.wind_rated, cfg.wind_cut_out)
     if cfg.noise_mw > 0:
         solar = solar + gen.normal(0.0, cfg.noise_mw, size=t)
@@ -895,11 +904,5 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
             sub = format_timestamp((ts + k * minute).astype("datetime64[s]"))
             wr.writerow([sub, "solar", f"{solar[i]:.9g}"])
             wr.writerow([sub, "wind", f"{wind[i]:.9g}"])
-
-    masks = {"solar": np.zeros((h, w), dtype=bool), "wind": np.zeros((h, w), dtype=bool)}
-    for (pi, pj) in cfg.solar_plants:
-        masks["solar"][pi, pj] = True
-    for (pi, pj) in cfg.wind_plants:
-        masks["wind"][pi, pj] = True
 
     return SynthResult(cube, buf.getvalue(), solar, wind, masks)

@@ -645,8 +645,10 @@ def _run_chain(root):
     run("eval", "--checkpoint", train / "final.wxpm", "--cube", imp / "cube.wxc",
         "--power", synth / "power.csv", "--splits", splits,
         "--subset", "test", "--out", ev)
-    return [synth / "cube.wxc", synth / "power.csv", imp / "cube.wxc", splits,
-            train / "history.csv", train / "final.wxpm", ev / "report.csv"]
+    frames = sorted((synth / "frames").iterdir())
+    assert len(frames) == 72
+    return [synth / "manifest.csv", *frames, synth / "power.csv", imp / "cube.wxc",
+            splits, train / "history.csv", train / "final.wxpm", ev / "report.csv"]
 
 
 @criterion(8, "synth/import/split/train/eval chain is byte-identical on rerun")

@@ -41,10 +41,11 @@ def pipe(tmp_path_factory):
 
 def test_synth_artifacts(pipe):
     synth = pipe["synth"]
-    for name in ("cube.wxc", "manifest.csv", "power.csv", "plants.csv",
+    for name in ("manifest.csv", "power.csv", "plants.csv",
                  "truth.csv", "config.resolved"):
         assert (synth / name).exists(), name
-    cube = D.load_cube(synth / "cube.wxc")
+    assert not (synth / "cube.wxc").exists()
+    cube = D.load_frames(synth / "manifest.csv")
     assert cube.shape == (120, 6, 20, 20)
     plants = cli.load_plants(synth / "plants.csv")
     assert len(plants["solar"]) == 5 and len(plants["wind"]) == 4
@@ -56,7 +57,9 @@ def test_synth_deterministic(pipe, tmp_path):
     again = tmp_path / "again"
     assert run("synth", "--out", again, "--hours", 120, "--grid", 20,
                "--seed", 5) == 0
-    for name in ("cube.wxc", "power.csv", "manifest.csv", "plants.csv"):
+    frames = sorted(f"frames/{p.name}" for p in (again / "frames").iterdir())
+    assert len(frames) == 120
+    for name in ("power.csv", "manifest.csv", "plants.csv", *frames):
         assert (again / name).read_bytes() == (pipe["synth"] / name).read_bytes()
 
 
@@ -68,7 +71,7 @@ def test_synth_bad_plants_is_config_error(tmp_path):
 def test_import_normalizes_and_remasks(pipe):
     cube = D.load_cube(pipe["cube"])
     assert cube.normalized
-    raw = D.load_cube(pipe["synth"] / "cube.wxc")
+    raw = D.load_frames(pipe["synth"] / "manifest.csv")
     assert (cube.mask == raw.mask).all() and cube.mask.any()
     assert (cube.frames[:, :, cube.mask] == 0.0).all()
     keep = ~cube.mask
@@ -240,16 +243,19 @@ def forbid_model_work(monkeypatch, what):
     ("eval", "empty-train"), ("eval", "empty-val"), ("eval", "empty-test")])
 def test_unusable_inputs_are_data_errors_before_any_model_work(
         pipe, tmp_path, monkeypatch, capsys, cmd, case):
-    # the synth cube is the raw one; a split group left empty has nothing
-    # to train on, to score against or to take train means from (eval
-    # scores its --subset test)
+    # a cube saved straight from the synth frames is raw; a split group
+    # left empty has nothing to train on, to score against or to take train
+    # means from (eval scores its --subset test)
     split = D.SplitIndices.load(pipe["splits"])
     groups = {"train": split.train, "val": split.val, "test": split.test}
     if case.startswith("empty-"):
         groups[case.removeprefix("empty-")] = ()
     splits = tmp_path / "splits.txt"
     D.SplitIndices(groups["train"], groups["val"], groups["test"], 3, 1).save(splits)
-    cube = pipe["synth"] / "cube.wxc" if case == "raw-cube" else pipe["cube"]
+    cube = pipe["cube"]
+    if case == "raw-cube":
+        cube = tmp_path / "raw.wxc"
+        D.save_cube(D.load_frames(pipe["synth"] / "manifest.csv"), cube)
     ckpt = pipe["train"] / "final.wxpm"
     argv = {"split": ["--power", pipe["power"]],
             "train": ["--power", pipe["power"], "--splits", splits],
@@ -297,6 +303,18 @@ def test_eval_refuses_a_checkpoint_that_does_not_fit_the_split(pipe, tmp_path, c
         assert run("eval", "--checkpoint", ckpt, "--cube", pipe["cube"],
                    "--power", pipe["power"], "--splits", splits,
                    "--out", out) == cli.EXIT_CONFIG
+        assert f"checkpoint wants (C, H, W) = {msg}" in capsys.readouterr().err
+        assert not out.exists()
+    # saliency refuses the 16x16 checkpoint, and one whose channels no
+    # stack of the cube's frames makes, through the same check
+    twelve = tmp_path / "twelve.wxpm"
+    M.save_checkpoint(M.build_linear(12, Rng(0), input_hw=(20, 20), fc_widths=(4,)), twelve)
+    for ckpt, msg in [(small, "(6, 16, 16), cube at stack 1 gives (6, 20, 20)"),
+                      (twelve, "(12, 20, 20), cube at stack 1 gives (6, 20, 20)")]:
+        capsys.readouterr()
+        out = tmp_path / "sal"
+        assert run("saliency", "--checkpoint", ckpt, "--cube", pipe["cube"],
+                   "--index", 3, "--out", out) == cli.EXIT_CONFIG
         assert f"checkpoint wants (C, H, W) = {msg}" in capsys.readouterr().err
         assert not out.exists()
 

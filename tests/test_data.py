@@ -119,6 +119,12 @@ def test_load_frames_errors(tmp_path):
                     "2019-01-01T00:00:00,nothere.bin,4,5,6\n")
     with pytest.raises(D.DataError):
         D.load_frames(gone)
+    # a non-positive extent is named with its manifest line
+    neg = tmp_path / "neg.csv"
+    neg.write_text("timestamp,path,height,width,channels\n"
+                   "2019-01-01T00:00:00,f0.bin,-1,5,6\n")
+    with pytest.raises(D.DataError, match="neg.csv:2: extents -1x5x6"):
+        D.load_frames(neg)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
@@ -814,6 +820,22 @@ def test_synth_deterministic():
     assert a.power_csv == b.power_csv
     c = D.synth_generate(D.SynthConfig(n_hours=48, seed=1))
     assert not np.array_equal(a.cube.frames, c.cube.frames)
+
+
+def test_synth_holds_one_float64_field_at_a_time():
+    # the bands are drawn one by one: the frames plus one float64 field and
+    # the temporaries of its band's formula, never all six fields at once
+    cfg = D.SynthConfig(height=30, width=40, n_hours=500, seed=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = D.synth_generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    field_bytes = cfg.n_hours * cfg.height * cfg.width * 8
+    assert peak <= res.cube.frames.nbytes + 4 * field_bytes, \
+        (peak, res.cube.frames.nbytes, field_bytes)
 
 
 def test_synth_bands_physical():
