@@ -807,15 +807,23 @@ def _smooth_fields(gen, t: int, h: int, w: int, n_modes: int = 6,
     yy = np.arange(h, dtype=np.float64)[None, :, None]
     xx = np.arange(w, dtype=np.float64)[None, None, :]
     out = np.zeros((t, h, w))
+    arg = np.empty_like(out)  # each term is built in this one buffer
     for _ in range(n_modes):
         amp = gen.normal(0.0, 1.0) / np.sqrt(n_modes / 2.0)
         kx = gen.integers(1, 4)
         ky = gen.integers(1, 4)
         om = gen.uniform(0.2, 1.5) * gen.choice((-1.0, 1.0))
         ph = gen.uniform(0.0, 2 * np.pi)
-        out += amp * np.cos(2 * np.pi * (kx * xx / w + ky * yy / h + om * tt / 24.0) + ph)
+        np.add(kx * xx / w + ky * yy / h, om * tt / 24.0, out=arg)
+        arg *= 2 * np.pi
+        arg += ph
+        np.cos(arg, out=arg)
+        arg *= amp
+        out += arg
     if texture > 0.0:
-        out += texture * gen.normal(0.0, 1.0, size=(t, h, w))
+        gen.standard_normal(out=arg)  # the draws of normal(0.0, 1.0)
+        arg *= texture
+        out += arg
     return out
 
 

@@ -3,7 +3,8 @@
 Layers are plain records of parameter tensors; forward functions take the
 layer, the input, and (where behaviour differs) the mode string "train" or
 "eval". Batchnorm registers a fused op with its derived backward rule so
-the whole layer costs one tape record.
+the whole layer costs one tape record; that record may also carry the
+relu that follows it, so a conv unit's batchnorm and relu are one record.
 """
 
 from __future__ import annotations
@@ -150,7 +151,10 @@ class BatchNorm2d:
         self.running_var = T.create([num_features], 1.0, dtype=dtype)
 
 
-def batchnorm2d_forward(bn: BatchNorm2d, x: T.Tensor, mode: str) -> T.Tensor:
+def batchnorm2d_forward(bn: BatchNorm2d, x: T.Tensor, mode: str,
+                        relu: bool = False) -> T.Tensor:
+    """Batchnorm over NCHW channels; with `relu`, the relu too, in the same
+    record, whose rule then first applies the relu's `g * (out > 0)`."""
     _check_mode(mode)
     if x.data.ndim != 4 or x.shape[1] != bn.num_features:
         raise T.ShapeError(
@@ -165,18 +169,27 @@ def batchnorm2d_forward(bn: BatchNorm2d, x: T.Tensor, mode: str) -> T.Tensor:
         if m < 2:
             raise T.ShapeError("batchnorm2d train mode needs at least 2 values per channel")
         mu = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))  # biased
+        xhat = xd - mu[None, :, None, None]
+        # the biased variance in ndarray.var's own arithmetic
+        var = np.add.reduce(np.square(xhat), axis=(0, 2, 3))
+        np.true_divide(var, np.intp(m), out=var, casting="unsafe")
         mom = xd.dtype.type(bn.momentum)
         bn.running_mean.data[:] = (1 - mom) * bn.running_mean.data + mom * mu
         bn.running_var.data[:] = (1 - mom) * bn.running_var.data + mom * var
     else:  # eval: normalize with the frozen running stats
         mu, var = bn.running_mean.data, bn.running_var.data
+        xhat = xd - mu[None, :, None, None]
     inv = 1.0 / np.sqrt(var + xd.dtype.type(bn.eps))
-    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
+    xhat *= inv[None, :, None, None]
     out = gd * xhat + beta.data[None, :, None, None]
+    if relu:
+        np.maximum(out, 0, out=out)
+    relu_out = out if relu else None
     ga = gamma.data
 
     def rule(g):
+        if relu:
+            g = g * (relu_out > 0)  # subgradient at 0 is 0
         dbeta = g.sum(axis=(0, 2, 3))
         dgamma = (g * xhat).sum(axis=(0, 2, 3))
         if mode == "train":

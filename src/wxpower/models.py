@@ -291,16 +291,17 @@ def _forward_linear(model: Model, x: T.Tensor, rng: Rng | None) -> T.Tensor:
     return h
 
 
-def _conv_bn(net: dict, conv_key: str, bn_key: str, x: T.Tensor, mode: str) -> T.Tensor:
-    """The one place a conv runs: net[conv_key], then its batchnorm net[bn_key]."""
+def _conv_bn(net: dict, conv_key: str, bn_key: str, x: T.Tensor, mode: str,
+             relu: bool = False) -> T.Tensor:
+    """The one place a conv runs: net[conv_key], then net[bn_key] (and relu)."""
     conv = net[conv_key]
     y = T.conv2d(x, conv.kernel, conv.bias, stride=conv.stride, pad=conv.pad)
-    return batchnorm2d_forward(net[bn_key], y, mode)
+    return batchnorm2d_forward(net[bn_key], y, mode, relu=relu)
 
 
 def _block_forward(blk: dict, x: T.Tensor, mode: str) -> T.Tensor:
-    h = T.relu(_conv_bn(blk, "conv1", "bn1", x, mode))
-    h = T.relu(_conv_bn(blk, "conv2", "bn2", h, mode))
+    h = _conv_bn(blk, "conv1", "bn1", x, mode, relu=True)
+    h = _conv_bn(blk, "conv2", "bn2", h, mode, relu=True)
     h = _conv_bn(blk, "conv3", "bn3", h, mode)
     shortcut = _conv_bn(blk, "proj", "proj_bn", x, mode) if "proj" in blk else x
     return T.relu(T.add(h, shortcut))
@@ -308,7 +309,7 @@ def _block_forward(blk: dict, x: T.Tensor, mode: str) -> T.Tensor:
 
 def _forward_resnet(model: Model, x: T.Tensor) -> T.Tensor:
     mode, net = model.mode, model.net
-    h = T.relu(_conv_bn(net["stem"], "conv", "bn", x, mode))
+    h = _conv_bn(net["stem"], "conv", "bn", x, mode, relu=True)
     n_stages = len(model.spec.stage_blocks)
     for si in range(1, n_stages + 1):
         for blk in net[f"s{si}"].values():

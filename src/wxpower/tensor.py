@@ -348,8 +348,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     Ho = (H + 2*pad - kh)//stride + 1 and likewise Wo.
 
     One gemm per sample writes its NCHW output; no batch-wide column
-    buffer is built. The backward rule retains only the padded input and
-    recomputes each sample's columns from it. The bias gradient is summed
+    buffer or padded batch is built: each sample is padded in one reused
+    buffer, and the backward rule retains only the input, then pads and
+    recomputes each sample's columns the same way. The bias gradient is summed
     in NHWC row order: behind a batchnorm it is float32 rounding noise
     whose sign ADAM turns into full lr steps, so another order moves the
     trained weights.
@@ -371,33 +372,42 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
 
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    if pad:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    else:
-        xp = x.data
-    sn, sc, sh, sw = xp.strides
-    taps = np.lib.stride_tricks.as_strided(           # (N, C, kh, kw, Ho, Wo)
-        xp, shape=(n, c, kh, kw, ho, wo),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    xd = x.data
+    padded = (c, h + 2 * pad, w + 2 * pad)
     wmat = kernel.data.reshape(f, -1)
+
+    def columns(s, buf):  # sample s as (C*kh*kw, Ho*Wo), padded through buf
+        if pad:
+            buf[:, pad:pad + h, pad:pad + w] = xd[s]
+        src = buf if pad else xd[s]
+        sc, sh, sw = src.strides
+        taps = np.lib.stride_tricks.as_strided(       # (C, kh, kw, Ho, Wo)
+            src, shape=(c, kh, kw, ho, wo),
+            strides=(sc, sh, sw, sh * stride, sw * stride), writeable=False)
+        return taps.reshape(-1, ho * wo)
+
     out = np.empty((n, f, ho * wo), dtype=x.dtype)
+    buf = np.zeros(padded, dtype=x.dtype) if pad else None
     for s in range(n):
-        np.matmul(wmat, taps[s].reshape(-1, ho * wo), out=out[s])
-    out += bias.data[:, None]
+        np.matmul(wmat, columns(s, buf), out=out[s])
+        out[s] += bias.data[:, None]
 
     def rule(g):
         gb = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f).sum(axis=0)
         gm = g.reshape(n, f, ho * wo)
         gk = np.zeros_like(wmat)
-        dxp = np.zeros(xp.shape, dtype=g.dtype)
+        gx = np.zeros((n, c, h, w), dtype=g.dtype)
+        buf = np.zeros(padded, dtype=g.dtype) if pad else None
         for s in range(n):
-            gk += gm[s] @ taps[s].reshape(-1, ho * wo).T
+            gk += gm[s] @ columns(s, buf).T
             d = (wmat.T @ gm[s]).reshape(c, kh, kw, ho, wo)
+            dxs = np.zeros(padded, dtype=g.dtype) if pad else gx[s]
             for i in range(kh):
                 for j in range(kw):
-                    dxp[s, :, i:i + (ho - 1) * stride + 1:stride,
+                    dxs[:, i:i + (ho - 1) * stride + 1:stride,
                         j:j + (wo - 1) * stride + 1:stride] += d[:, i, j]
-        gx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
+            if pad:
+                gx[s] = dxs[:, pad:pad + h, pad:pad + w]
         return (gx, gk.reshape(kernel.shape), gb)
 
     return record("conv2d", (x, kernel, bias), out.reshape(n, f, ho, wo), rule)
@@ -414,14 +424,21 @@ def avgpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         raise ShapeError(f"avgpool2d: window {k} exceeds input {h}x{w}")
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
-    sn, sc, sh, sw = x.data.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x.data,
-        shape=(n, c, ho, wo, k, k),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    out = np.ascontiguousarray(windows.mean(axis=(4, 5)))
+    if k == stride == 2 and wo > 1:
+        # numpy's mean in its own order (at wo == 1 it sums in sequence)
+        t = [x.data[:, :, i:2 * ho:2, j:2 * wo:2] for i in (0, 1) for j in (0, 1)]
+        out = t[0] + t[1]
+        out += t[2] + t[3]
+        np.true_divide(out, np.intp(4), out=out, casting="unsafe")
+    else:
+        sn, sc, sh, sw = x.data.strides
+        windows = np.lib.stride_tricks.as_strided(
+            x.data,
+            shape=(n, c, ho, wo, k, k),
+            strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+            writeable=False,
+        )
+        out = np.ascontiguousarray(windows.mean(axis=(4, 5)))
     inv = 1.0 / (k * k)
 
     def rule(g):

@@ -234,6 +234,90 @@ def test_batchnorm_eval_grad_matches_fd():
     assert max_rel_err(xt.grad, numeric) < GRAD_TOL
 
 
+def _bn_with(params, dtype):
+    gamma, beta, rmean, rvar = params
+    bn = L.BatchNorm2d(gamma.size, dtype=dtype)
+    for t, v in ((bn.gamma, gamma), (bn.beta, beta), (bn.running_mean, rmean), (bn.running_var, rvar)):
+        t.data[:] = v
+    return bn
+
+
+@pytest.mark.parametrize("mode", L.MODES)
+def test_batchnorm_relu_grad_matches_fd(mode):
+    # a weighted sum, so the train-mode gradient is not identically zero
+    eps = L.BATCHNORM_EPS
+    rng = np.random.default_rng(40)
+    x = rng.normal(size=(3, 3, 2, 3))
+    params = (rng.normal(size=3) * 0.5 + 1.0, rng.normal(size=3) * 0.3,
+              rng.normal(size=3) * 0.2, rng.uniform(0.5, 1.5, size=3))
+    wts = rng.normal(size=x.shape)
+
+    def f(xv, gv, bv):
+        if mode == "train":
+            mu, var = xv.mean(axis=(0, 2, 3)), xv.var(axis=(0, 2, 3))
+        else:
+            mu, var = params[2], params[3]
+        xhat = (xv - mu[None, :, None, None]) / np.sqrt(var + eps)[None, :, None, None]
+        out = gv[None, :, None, None] * xhat + bv[None, :, None, None]
+        return float((np.maximum(out, 0.0) * wts).sum())
+
+    bn = _bn_with(params, np.float64)
+    xt = T.from_array(x, dtype=np.float64, requires_grad=True)
+    with T.Tape() as tape:
+        out = L.batchnorm2d_forward(bn, xt, mode, relu=True)
+        T.backward(tape, T.from_array(wts, dtype=np.float64))
+    assert 0 < (out.data > 0).sum() < out.data.size  # the relu clips some
+    arrays = [x, params[0], params[1]]
+    for idx, analytic in enumerate((xt.grad, bn.gamma.grad, bn.beta.grad)):
+        assert max_rel_err(analytic, numeric_grad(f, arrays, idx)) < GRAD_TOL, idx
+
+
+@pytest.mark.parametrize("mode", L.MODES)
+def test_batchnorm_relu_is_bitwise_batchnorm_then_relu(mode):
+    # float32, where a changed float order would show; in eval mode some
+    # inputs equal the running mean, so the output is exactly 0 there and
+    # the relu's subgradient 0 must hold
+    rng = np.random.default_rng(41)
+    c = 5
+    x = rng.normal(size=(8, c, 15, 14)).astype(np.float32)
+    params = tuple(a.astype(np.float32) for a in (
+        rng.normal(size=c) * 0.5 + 1.0, np.zeros(c) if mode == "eval" else rng.normal(size=c) * 0.3,
+        rng.normal(size=c) * 0.2, rng.uniform(0.5, 1.5, size=c)))
+    zero_at = rng.random(size=x.shape) < 0.1
+    x[zero_at] = np.broadcast_to(params[2][None, :, None, None], x.shape)[zero_at]
+    g = rng.normal(size=x.shape).astype(np.float32)
+    runs = []
+    for fused in (False, True):
+        bn = _bn_with(params, np.float32)
+        bn.momentum = 1.0  # the running stats become the batch stats
+        xt = T.Tensor(x.copy(), requires_grad=True)
+        with T.Tape() as tape:
+            if fused:
+                out = L.batchnorm2d_forward(bn, xt, mode, relu=True)
+            else:
+                out = T.relu(L.batchnorm2d_forward(bn, xt, mode))
+            T.backward(tape, T.Tensor(g))
+        runs.append((out.data, xt.grad, bn.gamma.grad, bn.beta.grad,
+                     bn.running_mean.data, bn.running_var.data))
+    for got, want in zip(*runs):
+        npt.assert_array_equal(got, want)
+    # and both are the textbook formula in numpy's own mean and var
+    gamma, beta, rmean, rvar = (a[None, :, None, None] for a in params)
+    if mode == "train":
+        mu = x.mean(axis=(0, 2, 3))[None, :, None, None]
+        var = x.var(axis=(0, 2, 3))[None, :, None, None]
+        npt.assert_array_equal(runs[1][4], mu.ravel())
+        npt.assert_array_equal(runs[1][5], var.ravel())
+    else:
+        mu, var = rmean, rvar
+    xhat = (x - mu) * (1.0 / np.sqrt(var + np.float32(L.BATCHNORM_EPS)))
+    npt.assert_array_equal(runs[1][0], np.maximum(gamma * xhat + beta, 0))
+    if mode == "eval":
+        out, dx = runs[1][:2]
+        assert (out[zero_at] == 0).all() and (dx[zero_at] == 0).all()
+        assert (dx[out > 0] != 0).all()
+
+
 def test_batchnorm_rejects_wrong_channels():
     bn = L.BatchNorm2d(3)
     with pytest.raises(T.ShapeError):

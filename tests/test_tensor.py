@@ -422,29 +422,35 @@ def test_taped_relu_keeps_nothing_beside_its_output():
 
 
 def test_tape_holds_only_what_the_rules_capture():
-    # conv2d keeps its padded input, batchnorm its xhat and relu its output;
-    # the conv and batchnorm outputs die as soon as the chain drops them
+    # conv2d keeps only its input, which the caller holds anyway; batchnorm
+    # keeps its xhat, and the relu (its own record, or the batchnorm's)
+    # its output. The conv and batchnorm outputs die as soon as the chain
+    # drops them.
     rng = np.random.default_rng(4)
     x = T.from_array(rng.normal(size=(8, 4, 32, 32)), requires_grad=True)
     k = T.from_array(rng.normal(size=(16, 4, 3, 3)), requires_grad=True)
     b = T.create([16], 0.0, requires_grad=True)
     bn = L.BatchNorm2d(16)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        with T.Tape() as tape:
-            y = T.relu(L.batchnorm2d_forward(bn, T.conv2d(x, k, b, pad=1), "train"))
-        held = tracemalloc.get_traced_memory()[0] - base
-        T.backward(tape, T.create(y.shape, 1.0))
-        before_drop = tracemalloc.get_traced_memory()[0]
-        del tape
-        tape_after_backward = before_drop - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    padded = 8 * 4 * 34 * 34 * 4
-    captured = padded + 2 * y.data.nbytes  # padded input, xhat, relu output
-    assert held < captured + 0.1 * y.data.nbytes, (held, captured)
-    assert tape_after_backward < 4096, tape_after_backward
+    chains = {
+        "relu record": lambda h: T.relu(L.batchnorm2d_forward(bn, h, "train")),
+        "relu in batchnorm": lambda h: L.batchnorm2d_forward(bn, h, "train", relu=True),
+    }
+    for name, chain in chains.items():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with T.Tape() as tape:
+                y = chain(T.conv2d(x, k, b, pad=1))
+            held = tracemalloc.get_traced_memory()[0] - base
+            T.backward(tape, T.create(y.shape, 1.0))
+            before_drop = tracemalloc.get_traced_memory()[0]
+            del tape
+            tape_after_backward = before_drop - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        captured = 2 * y.data.nbytes  # xhat, relu output
+        assert held < captured + 0.1 * y.data.nbytes, (name, held, captured)
+        assert tape_after_backward < 4096, (name, tape_after_backward)
 
 
 def test_grad_add_bias():
@@ -595,6 +601,60 @@ def test_conv2d_bias_grad_sums_rows_in_nhwc_order():
     assert not np.array_equal(b.grad, g.sum(axis=(0, 2, 3)))
 
 
+def conv2d_batch_padded(x, k, b, g, stride, pad):
+    """conv2d and its rule as they ran on a whole padded batch: the
+    reference that per-sample padding must match bit for bit."""
+    n, c, h, w = x.shape
+    f, _, kh, kw = k.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    sn, sc, sh, sw = xp.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, c, kh, kw, ho, wo),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    wmat = k.reshape(f, -1)
+    out = np.empty((n, f, ho * wo), dtype=x.dtype)
+    for s in range(n):
+        np.matmul(wmat, taps[s].reshape(-1, ho * wo), out=out[s])
+    out += b[:, None]
+    gb = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f).sum(axis=0)
+    gm = g.reshape(n, f, ho * wo)
+    gk = np.zeros_like(wmat)
+    dxp = np.zeros(xp.shape, dtype=g.dtype)
+    for s in range(n):
+        gk += gm[s] @ taps[s].reshape(-1, ho * wo).T
+        d = (wmat.T @ gm[s]).reshape(c, kh, kw, ho, wo)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[s, :, i:i + (ho - 1) * stride + 1:stride,
+                    j:j + (wo - 1) * stride + 1:stride] += d[:, i, j]
+    gx = dxp[:, :, pad:pad + h, pad:pad + w]
+    return out.reshape(n, f, ho, wo), gx, gk.reshape(k.shape), gb
+
+
+# the ResNet's stem (7x7/2, pad 3, even W as at 108) and its 3x3/1 pad-1 conv
+@pytest.mark.parametrize("ksize,stride,pad,chw,f", [
+    (7, 2, 3, (6, 23, 20), 8), (3, 1, 1, (8, 15, 14), 8)])
+def test_conv2d_per_sample_padding_is_bitwise_the_batch_padded_conv(ksize, stride, pad, chw, f):
+    rng = np.random.default_rng(ksize + pad)
+    n = 3
+    x = rng.normal(size=(n,) + chw).astype(np.float32)
+    k = rng.normal(size=(f, chw[0], ksize, ksize)).astype(np.float32)
+    b = rng.normal(size=f).astype(np.float32)
+    ho = (chw[1] + 2 * pad - ksize) // stride + 1
+    wo = (chw[2] + 2 * pad - ksize) // stride + 1
+    g = rng.normal(size=(n, f, ho, wo)).astype(np.float32)
+    ts = [T.Tensor(a.copy(), requires_grad=True) for a in (x, k, b)]
+    with T.Tape() as tape:
+        out = T.conv2d(*ts, stride=stride, pad=pad)
+        T.backward(tape, T.Tensor(g))
+    want = conv2d_batch_padded(x, k, b, g, stride, pad)
+    for got, ref in zip((out.data, ts[0].grad, ts[1].grad, ts[2].grad), want):
+        assert got.dtype == ref.dtype
+        npt.assert_array_equal(got, ref)
+
+
 def test_conv2d_keeps_no_batch_wide_columns():
     # 7x7 stride 1: the (N*Ho*Wo, C*kh*kw) column buffer dwarfs the input
     n, c, f, hw, ksize = 16, 4, 4, 48, 7
@@ -615,6 +675,23 @@ def test_conv2d_keeps_no_batch_wide_columns():
         tracemalloc.stop()
     assert x.grad.shape == x.shape
     assert peak < cols_bytes / 4, (peak, cols_bytes)
+
+
+def test_avgpool_2x2_tap_sum_is_bitwise_the_strided_mean():
+    # the 2x2/2 pool sums its four tap slices; the reference is the mean
+    # over a strided window view, which the other pools still take
+    rng = np.random.default_rng(19)
+    for n, c in ((1, 1), (3, 5)):
+        for h in range(2, 20):
+            for w in range(2, 20):
+                x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+                ho, wo = (h - 2) // 2 + 1, (w - 2) // 2 + 1
+                sn, sc, sh, sw = x.strides
+                windows = np.lib.stride_tricks.as_strided(
+                    x, shape=(n, c, ho, wo, 2, 2),
+                    strides=(sn, sc, sh * 2, sw * 2, sh, sw))
+                npt.assert_array_equal(T.avgpool2d(T.Tensor(x), k=2, stride=2).data,
+                                       windows.mean(axis=(4, 5)), err_msg=f"{h}x{w}")
 
 
 @pytest.mark.parametrize("k,stride", [(2, 2), (3, 1), (3, 2)])
