@@ -21,6 +21,7 @@ import io
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -432,18 +433,11 @@ def aggregate_power(src) -> PowerSeries:
     source. The hour axis is the contiguous range from the first to the
     last observed hour; hours a source never reported get 0.0 plus a
     "<source>_missing" flag, and hours with 1-11 readings get
-    "<source>_partial". Rows with unknown sources are ignored.
+    "<source>_partial". Rows with unknown sources are ignored. `src` is a
+    path, or the CSV text itself (a str with a newline).
     """
-    if hasattr(src, "read"):
-        fh = src
-        close = False
-    elif isinstance(src, str) and "\n" in src:
-        fh = io.StringIO(src)
-        close = False
-    else:
-        fh = open(src, newline="")
-        close = True
-    try:
+    with (io.StringIO(src) if isinstance(src, str) and "\n" in src
+          else open(src, newline="")) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["timestamp", "source", "mw"]:
@@ -467,9 +461,6 @@ def aggregate_power(src) -> PowerSeries:
                 raise DataError(f"power CSV line {lineno}: non-finite mw")
             hour = int(ts.view(np.int64)) // 3600
             readings[name].setdefault(hour, []).append(mw)
-    finally:
-        if close:
-            fh.close()
 
     all_hours = [h for per in readings.values() for h in per]
     if not all_hours:
@@ -755,20 +746,26 @@ def iter_batches(ids, batch_size: int, seed: int, epoch: int):
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """A synthetic scene's grid, hours, plants, noise and seed. Its physics
+    is fixed: hours from 2019-01-01T00:00, 2 MW per solar plant pixel at
+    clear-sky noon, 1 MW per wind plant pixel at rated speed, and wind
+    cut-in, rated and cut-out speeds of 3, 12 and 25 m/s."""
+
     height: int = 24
     width: int = 24
     n_hours: int = 240
-    start: str = "2019-01-01T00:00:00"
     solar_plants: tuple = ((6, 6), (6, 7), (12, 16), (13, 16), (18, 5))
     wind_plants: tuple = ((4, 18), (5, 18), (16, 9), (17, 9))
-    solar_scale: float = 2.0        # MW per plant pixel, clear-sky noon
-    wind_scale: float = 1.0         # MW per plant pixel at rated speed
-    wind_cut_in: float = 3.0        # m/s
-    wind_rated: float = 12.0
-    wind_cut_out: float = 25.0
     noise_mw: float = 0.0
     corner_radius: int = 3
     seed: int = 0
+
+    start: ClassVar[str] = "2019-01-01T00:00:00"
+    solar_scale: ClassVar[float] = 2.0
+    wind_scale: ClassVar[float] = 1.0
+    wind_cut_in: ClassVar[float] = 3.0
+    wind_rated: ClassVar[float] = 12.0
+    wind_cut_out: ClassVar[float] = 25.0
 
     def __post_init__(self):
         if self.height < 4 or self.width < 4:
@@ -777,10 +774,8 @@ class SynthConfig:
             raise DataError("n_hours must be >= 1")
         if not self.solar_plants or not self.wind_plants:
             raise DataError("need at least one plant per source")
-        if not 0 < self.wind_cut_in < self.wind_rated < self.wind_cut_out:
-            raise DataError("need 0 < cut_in < rated < cut_out")
-        if self.noise_mw < 0 or self.solar_scale <= 0 or self.wind_scale <= 0:
-            raise DataError("scales must be positive, noise nonnegative")
+        if self.noise_mw < 0:
+            raise DataError("noise must be nonnegative")
         if self.seed < 0:
             raise DataError("seed must be nonnegative")
 
@@ -794,8 +789,7 @@ class SynthResult:
     plant_masks: dict               # source -> bool (H, W)
 
 
-def _smooth_fields(gen, t: int, h: int, w: int, n_modes: int = 6,
-                   texture: float = 0.3) -> np.ndarray:
+def _smooth_fields(gen, t: int, h: int, w: int) -> np.ndarray:
     """Sum of low-frequency travelling waves plus fine per-pixel texture.
 
     The waves carry the synoptic-scale structure; the texture term adds
@@ -803,6 +797,8 @@ def _smooth_fields(gen, t: int, h: int, w: int, n_modes: int = 6,
     pixels in a band would live in a tiny linear subspace and no method
     could tell a plant pixel from its neighbors. Roughly unit variance.
     """
+    n_modes = 6
+    texture = 0.3  # spread of the per-pixel texture
     tt = np.arange(t, dtype=np.float64)[:, None, None]
     yy = np.arange(h, dtype=np.float64)[None, :, None]
     xx = np.arange(w, dtype=np.float64)[None, None, :]
@@ -820,10 +816,9 @@ def _smooth_fields(gen, t: int, h: int, w: int, n_modes: int = 6,
         np.cos(arg, out=arg)
         arg *= amp
         out += arg
-    if texture > 0.0:
-        gen.standard_normal(out=arg)  # the draws of normal(0.0, 1.0)
-        arg *= texture
-        out += arg
+    gen.standard_normal(out=arg)  # the draws of normal(0.0, 1.0)
+    arg *= texture
+    out += arg
     return out
 
 

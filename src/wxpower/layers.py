@@ -38,7 +38,6 @@ class Rng:
     def __init__(self, seed: int):
         if not isinstance(seed, int) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-        self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
     def normal(self, shape, std: float = 1.0, dtype=np.float32) -> np.ndarray:
@@ -57,9 +56,6 @@ class Rng:
 
     def random(self, shape, dtype=np.float32) -> np.ndarray:
         return self._gen.random(size=tuple(shape), dtype=dtype)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
 
 
 def kaiming_init(shape, fan_in: int, rng: Rng, dtype=np.float32) -> T.Tensor:
@@ -101,24 +97,17 @@ def linear_forward(layer: LinearLayer, x: T.Tensor) -> T.Tensor:
 # ---------------------------------------------------------------------------
 # dropout
 
-@dataclass(frozen=True)
-class DropoutSpec:
-    p: float = 0.2
-
-    def __post_init__(self):
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"dropout p must be in [0, 1), got {self.p}")
-
-
-def dropout(x: T.Tensor, spec: DropoutSpec, mode: str, rng: Rng | None) -> T.Tensor:
+def dropout(x: T.Tensor, p: float, mode: str, rng: Rng | None) -> T.Tensor:
     """Inverted dropout: train scales kept entries by 1/(1-p); eval is identity."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout p must be in [0, 1), got {p}")
     _check_mode(mode)
-    if mode == "eval" or spec.p == 0.0:
+    if mode == "eval" or p == 0.0:
         return x
     if rng is None:
         raise ValueError("dropout in train mode needs an Rng")
-    keep = (rng.random(x.shape, dtype=x.dtype) >= spec.p)
-    mask = keep.astype(x.dtype) * x.dtype.type(1.0 / (1.0 - spec.p))
+    keep = (rng.random(x.shape, dtype=x.dtype) >= p)
+    mask = keep.astype(x.dtype) * x.dtype.type(1.0 / (1.0 - p))
     return T.mul(x, T.Tensor(mask))
 
 
@@ -134,17 +123,12 @@ class BatchNorm2d:
     in each batch with `momentum`.
     """
 
-    def __init__(self, num_features: int, eps: float = BATCHNORM_EPS,
-                 momentum: float = BATCHNORM_MOMENTUM, dtype=np.float32):
+    def __init__(self, num_features: int, dtype=np.float32):
         if num_features <= 0:
             raise ValueError(f"num_features must be positive, got {num_features}")
-        if not 0.0 < momentum <= 1.0:
-            raise ValueError(f"momentum must be in (0, 1], got {momentum}")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
         self.num_features = num_features
-        self.eps = float(eps)
-        self.momentum = float(momentum)
+        self.eps = BATCHNORM_EPS
+        self.momentum = BATCHNORM_MOMENTUM
         self.gamma = T.create([num_features], 1.0, dtype=dtype, requires_grad=True)
         self.beta = T.create([num_features], 0.0, dtype=dtype, requires_grad=True)
         self.running_mean = T.create([num_features], 0.0, dtype=dtype)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .layers import BatchNorm2d, DropoutSpec, LinearLayer, Rng, batchnorm2d_forward, dropout, kaiming_init, linear_forward
+from .layers import BatchNorm2d, LinearLayer, Rng, batchnorm2d_forward, dropout, kaiming_init, linear_forward
 
 CHECKPOINT_MAGIC = b"WXPM"
 CHECKPOINT_VERSION = 1
@@ -280,13 +280,12 @@ def model_forward(model: Model, x: T.Tensor, rng: Rng | None = None) -> T.Tensor
 
 def _forward_linear(model: Model, x: T.Tensor, rng: Rng | None) -> T.Tensor:
     spec = model.spec
-    drop = DropoutSpec(spec.dropout_p)
-    if model.mode == "train" and drop.p > 0.0 and rng is None:
+    if model.mode == "train" and spec.dropout_p > 0.0 and rng is None:
         raise ValueError("train-mode forward of the linear family needs an Rng for dropout")
     n = x.shape[0]
     h = T.reshape(x, (n, spec.input_channels * spec.input_hw[0] * spec.input_hw[1]))
     for lay in model.net.values():
-        h = dropout(h, drop, model.mode, rng)
+        h = dropout(h, spec.dropout_p, model.mode, rng)
         h = T.relu(linear_forward(lay, h))
     return h
 

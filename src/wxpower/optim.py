@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -98,15 +99,14 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
     @classmethod
-    def init(cls, params: dict, **kw) -> "AdamState":
+    def init(cls, params: dict) -> "AdamState":
         return cls(m={k: np.zeros_like(p.data) for k, p in params.items()},
-                   v={k: np.zeros_like(p.data) for k, p in params.items()},
-                   **kw)
+                   v={k: np.zeros_like(p.data) for k, p in params.items()})
 
 
 def adam_step(state: AdamState, params: dict, grads: dict, lr: float,

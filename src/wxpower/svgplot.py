@@ -19,7 +19,7 @@ def _num(v: float) -> str:
     return f"{float(v):.6g}"
 
 
-def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi] at a 1/2/5 decade step."""
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("tick range must be finite")
@@ -27,7 +27,7 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         lo, hi = hi, lo
     if hi == lo:
         hi = lo + (abs(lo) if lo != 0 else 1.0)
-    raw = (hi - lo) / max(target, 2)
+    raw = (hi - lo) / 5  # about five ticks
     mag = 10.0 ** np.floor(np.log10(raw))
     step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw)
     first = np.ceil(lo / step) * step
@@ -51,9 +51,9 @@ class Series:
             raise ValueError(f"series {label!r} contains non-finite values")
 
 
-def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "",
-               width: int = 720, height: int = 420) -> str:
+def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "") -> str:
     """Render series (iterable of Series or (label, xs, ys)) to SVG text."""
+    width, height = 720, 420
     ss = [s if isinstance(s, Series) else Series(*s) for s in series]
     if not ss:
         raise ValueError("at least one series required")

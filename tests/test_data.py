@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 
 import numpy as np
@@ -511,6 +510,19 @@ def test_aggregate_ignores_unknown_sources():
     npt.assert_allclose(ps.solar[0], 1.0)
 
 
+def test_aggregate_reads_a_path_its_str_or_the_text(tmp_path):
+    text = power_csv(["2019-01-01T00:00:00,solar,1.5", "2019-01-01T02:05:00,wind,2.0"])
+    p = tmp_path / "power.csv"
+    p.write_text(text)
+    want = D.aggregate_power(text)
+    for src in (p, str(p)):
+        got = D.aggregate_power(src)
+        npt.assert_array_equal(got.timestamps, want.timestamps)
+        npt.assert_array_equal(got.solar, want.solar)
+        npt.assert_array_equal(got.wind, want.wind)
+        assert got.flags == want.flags
+
+
 def test_aggregate_errors():
     with pytest.raises(D.DataError):
         D.aggregate_power("nope,profile\n")
@@ -877,7 +889,7 @@ def test_synth_wind_cubic_response():
 
 def test_synth_csv_aggregates_to_truth():
     res = D.synth_generate(D.SynthConfig(n_hours=48))
-    ps = D.aggregate_power(io.StringIO(res.power_csv))
+    ps = D.aggregate_power(res.power_csv)
     assert len(ps.timestamps) == 48
     npt.assert_allclose(ps.solar, res.solar_truth, rtol=1e-7, atol=1e-9)
     npt.assert_allclose(ps.wind, res.wind_truth, rtol=1e-7, atol=1e-9)
@@ -890,7 +902,7 @@ def test_synth_plant_validation():
     with pytest.raises(D.DataError):
         D.synth_generate(D.SynthConfig(wind_plants=((99, 0),)))   # off grid
     with pytest.raises(D.DataError):
-        D.SynthConfig(wind_cut_in=13.0)
+        D.SynthConfig(noise_mw=-1.0)
     with pytest.raises(D.DataError):
         D.SynthConfig(n_hours=0)
 
@@ -899,7 +911,7 @@ def test_synth_pipeline_to_training_arrays():
     res = D.synth_generate(D.SynthConfig(n_hours=60))
     stats = D.fit_normalizer(res.cube)
     norm = D.apply_normalizer(res.cube, stats)
-    ps = D.aggregate_power(io.StringIO(res.power_csv))
+    ps = D.aggregate_power(res.power_csv)
     ds = D.align(norm, ps)
     assert len(ds) == 60
     sp = D.split_indices(ds.eligible_indices(5), seed=0, stack=5)

@@ -78,20 +78,20 @@ def test_linear_forward_matches_numpy():
 
 def test_dropout_eval_identity():
     x = T.from_array(np.ones((8, 8), np.float32))
-    out = L.dropout(x, L.DropoutSpec(0.2), "eval", None)
+    out = L.dropout(x, 0.2, "eval", None)
     assert out is x
 
 
 def test_dropout_p0_identity_in_train():
     x = T.from_array(np.ones((8, 8), np.float32))
-    out = L.dropout(x, L.DropoutSpec(0.0), "train", L.Rng(0))
+    out = L.dropout(x, 0.0, "train", L.Rng(0))
     assert out is x
 
 
 def test_dropout_train_masks_and_scales():
     p = 0.2
     x = T.from_array(np.ones((100, 100), np.float32))
-    out = L.dropout(x, L.DropoutSpec(p), "train", L.Rng(3))
+    out = L.dropout(x, p, "train", L.Rng(3))
     vals = np.unique(out.data)
     npt.assert_allclose(sorted(vals), [0.0, 1.0 / (1.0 - p)], rtol=1e-6)
     drop_frac = (out.data == 0).mean()
@@ -102,27 +102,28 @@ def test_dropout_train_masks_and_scales():
 
 def test_dropout_deterministic_given_seed():
     x = T.from_array(np.ones((16, 16), np.float32))
-    a = L.dropout(x, L.DropoutSpec(0.5), "train", L.Rng(9))
-    b = L.dropout(x, L.DropoutSpec(0.5), "train", L.Rng(9))
+    a = L.dropout(x, 0.5, "train", L.Rng(9))
+    b = L.dropout(x, 0.5, "train", L.Rng(9))
     npt.assert_array_equal(a.data, b.data)
 
 
 def test_dropout_gradient_is_mask():
     x = T.from_array(np.ones((10, 10)), dtype=np.float64, requires_grad=True)
     with T.Tape() as tape:
-        out = L.dropout(x, L.DropoutSpec(0.4), "train", L.Rng(4))
+        out = L.dropout(x, 0.4, "train", L.Rng(4))
         T.backward(tape, T.create(out.shape, 1.0, dtype=np.float64))
     # gradient equals the applied mask (0 where dropped, 1/(1-p) where kept)
     npt.assert_allclose(x.grad, out.data, atol=1e-12)
 
 
 def test_dropout_spec_validation():
+    x = T.create([2, 2], 1.0)
     with pytest.raises(ValueError):
-        L.DropoutSpec(1.0)
+        L.dropout(x, 1.0, "train", L.Rng(0))
     with pytest.raises(ValueError):
-        L.DropoutSpec(-0.1)
+        L.dropout(x, -0.1, "eval", None)
     with pytest.raises(ValueError):
-        L.dropout(T.create([2, 2], 1.0), L.DropoutSpec(0.5), "test", None)
+        L.dropout(x, 0.5, "test", None)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +170,19 @@ def test_batchnorm_eval_uses_running_stats_no_mutation():
     npt.assert_allclose(out.data, expected, atol=1e-10)
     npt.assert_array_equal(bn.running_mean.data, before_m)
     npt.assert_array_equal(bn.running_var.data, before_v)
+
+
+def test_batchnorm_reads_momentum_and_eps_from_the_instance():
+    x = np.random.default_rng(15).normal(loc=2.0, size=(4, 3, 5, 5))
+    bn = L.BatchNorm2d(3, dtype=np.float64)
+    bn.momentum = 1.0  # the running stats become the batch's
+    L.batchnorm2d_forward(bn, T.from_array(x, dtype=np.float64), "train")
+    npt.assert_array_equal(bn.running_mean.data, x.mean(axis=(0, 2, 3)))
+    npt.assert_array_equal(bn.running_var.data, x.var(axis=(0, 2, 3)))
+    fresh = L.BatchNorm2d(3, dtype=np.float64)
+    fresh.eps = 0.5
+    out = L.batchnorm2d_forward(fresh, T.from_array(x, dtype=np.float64), "eval")
+    npt.assert_allclose(out.data, x / np.sqrt(1.5), rtol=1e-12)
 
 
 def test_batchnorm_eval_deterministic_repeat():
@@ -327,7 +341,3 @@ def test_batchnorm_rejects_wrong_channels():
 def test_batchnorm_validation():
     with pytest.raises(ValueError):
         L.BatchNorm2d(0)
-    with pytest.raises(ValueError):
-        L.BatchNorm2d(3, eps=0.0)
-    with pytest.raises(ValueError):
-        L.BatchNorm2d(3, momentum=0.0)
