@@ -749,7 +749,8 @@ class SynthConfig:
     """A synthetic scene's grid, hours, plants, noise and seed. Its physics
     is fixed: hours from 2019-01-01T00:00, 2 MW per solar plant pixel at
     clear-sky noon, 1 MW per wind plant pixel at rated speed, and wind
-    cut-in, rated and cut-out speeds of 3, 12 and 25 m/s."""
+    cut-in, rated and cut-out speeds of 3, 12 and 25 m/s. The grid must hold
+    every plant off its corner mask: the default plants need 19x19."""
 
     height: int = 24
     width: int = 24
@@ -768,12 +769,19 @@ class SynthConfig:
     wind_cut_out: ClassVar[float] = 25.0
 
     def __post_init__(self):
-        if self.height < 4 or self.width < 4:
-            raise DataError("synthetic grid must be at least 4x4")
         if self.n_hours < 1:
             raise DataError("n_hours must be >= 1")
         if not self.solar_plants or not self.wind_plants:
             raise DataError("need at least one plant per source")
+        # the grid's only size limit: it holds every plant off its mask
+        h, w = self.height, self.width
+        mask = corner_mask(h, w, self.corner_radius)
+        for src, plants in (("solar", self.solar_plants), ("wind", self.wind_plants)):
+            for (pi, pj) in plants:
+                if not (0 <= pi < h and 0 <= pj < w):
+                    raise DataError(f"{src} plant {(pi, pj)} outside {h}x{w} grid")
+                if mask[pi, pj]:
+                    raise DataError(f"{src} plant {(pi, pj)} sits on a masked pixel")
         if self.noise_mw < 0:
             raise DataError("noise must be nonnegative")
         if self.seed < 0:
@@ -856,11 +864,7 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     masks = {}
     for src, plants in (("solar", cfg.solar_plants), ("wind", cfg.wind_plants)):
         masks[src] = np.zeros((h, w), dtype=bool)
-        for (pi, pj) in plants:
-            if not (0 <= pi < h and 0 <= pj < w):
-                raise DataError(f"{src} plant {(pi, pj)} outside {h}x{w} grid")
-            if mask[pi, pj]:
-                raise DataError(f"{src} plant {(pi, pj)} sits on a masked pixel")
+        for (pi, pj) in plants:  # SynthConfig checked each is on the grid, off the mask
             masks[src][pi, pj] = True
 
     gen = np.random.Generator(np.random.PCG64(cfg.seed))

@@ -5,6 +5,10 @@ layer, the input, and (where behaviour differs) the mode string "train" or
 "eval". Batchnorm registers a fused op with its derived backward rule so
 the whole layer costs one tape record; that record may also carry the
 relu that follows it, so a conv unit's batchnorm and relu are one record.
+In eval mode the running stats are constants, and `fold_batchnorm` turns
+the batchnorm into its conv's kernel and bias instead (the ResNet's eval
+forward runs no normalization pass); `batchnorm2d_forward`'s eval branch
+stays as the reference the fold is tested against.
 """
 
 from __future__ import annotations
@@ -186,3 +190,32 @@ def batchnorm2d_forward(bn: BatchNorm2d, x: T.Tensor, mode: str,
         return (dx, dgamma, dbeta)
 
     return T.record("batchnorm2d", (x, gamma, beta), out, rule)
+
+
+def fold_batchnorm(bn: BatchNorm2d, kernel: T.Tensor,
+                   bias: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
+    """Fold eval-mode `bn` into the conv before it: the kernel and bias whose
+    conv equals the batchnorm of the conv with `kernel` and `bias`, i.e.
+    kernel * scale per output channel and (bias - running_mean) * scale +
+    beta, where scale = gamma / sqrt(running_var + eps).
+
+    Three small records (scale from gamma, the kernel from kernel and scale,
+    the bias from bias, scale and beta) give every parameter exactly one
+    gradient per backward."""
+    if kernel.data.ndim != 4 or kernel.shape[0] != bn.num_features:
+        raise T.ShapeError(
+            f"fold_batchnorm: need a ({bn.num_features},C,kh,kw) kernel, got {kernel.shape}")
+    gamma, beta = bn.gamma, bn.beta
+    kd, bd = kernel.data, bias.data
+    inv = 1.0 / np.sqrt(bn.running_var.data + kd.dtype.type(bn.eps))
+    sd = gamma.data * inv
+    scale = T.record("bn_fold_scale", (gamma,), sd, lambda g: (g * inv,))
+    s4 = sd[:, None, None, None]
+    folded_kernel = T.record(
+        "bn_fold_kernel", (kernel, scale), kd * s4,
+        lambda g: (g * s4, (g * kd).sum(axis=(1, 2, 3))))
+    shift = bd - bn.running_mean.data
+    folded_bias = T.record(
+        "bn_fold_bias", (bias, scale, beta), shift * sd + beta.data,
+        lambda g: (g * sd, g * shift, g))
+    return folded_kernel, folded_bias

@@ -12,6 +12,18 @@ outputs (solar MW, wind MW):
   pooling between stages, global average pooling, then a small
   relu-capped regression head.
 
+Every conv runs in `_conv_bn`. Train mode normalizes the conv's output
+with batch statistics in its own record. Eval mode folds the batchnorm,
+an affine map per channel once its running stats are frozen, into the
+conv's kernel and bias (`layers.fold_batchnorm`) and runs one conv whose
+relu clamps its own output: no normalization pass and no batchnorm
+temporaries, in eval forwards and saliency maps alike. The fold rounds
+differently in float32 from conv-then-batchnorm, so eval predictions and
+reports, the score columns of history.csv and saliency maps move by
+float32 rounding. Training never reads an eval output under fixed stages,
+so checkpoints and the training trajectory keep every byte; adaptive
+stages compare val RMSE, where a near-tie could flip.
+
 A Model's `net` is a tree of nested dicts whose leaves are layers:
 
 * linear: {"fc1": LinearLayer, ..., "fcN": LinearLayer}
@@ -38,7 +50,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .layers import BatchNorm2d, LinearLayer, Rng, batchnorm2d_forward, dropout, kaiming_init, linear_forward
+from .layers import (BatchNorm2d, LinearLayer, Rng, batchnorm2d_forward, dropout,
+                     fold_batchnorm, kaiming_init, linear_forward)
 
 CHECKPOINT_MAGIC = b"WXPM"
 CHECKPOINT_VERSION = 1
@@ -292,10 +305,15 @@ def _forward_linear(model: Model, x: T.Tensor, rng: Rng | None) -> T.Tensor:
 
 def _conv_bn(net: dict, conv_key: str, bn_key: str, x: T.Tensor, mode: str,
              relu: bool = False) -> T.Tensor:
-    """The one place a conv runs: net[conv_key], then net[bn_key] (and relu)."""
-    conv = net[conv_key]
+    """The one place a conv runs: net[conv_key], then net[bn_key] (and relu).
+    Eval folds the batchnorm into the conv's kernel and bias and runs the
+    conv alone; train keeps the batch statistics' own record."""
+    conv, bn = net[conv_key], net[bn_key]
+    if mode == "eval":
+        kernel, bias = fold_batchnorm(bn, conv.kernel, conv.bias)
+        return T.conv2d(x, kernel, bias, stride=conv.stride, pad=conv.pad, relu=relu)
     y = T.conv2d(x, conv.kernel, conv.bias, stride=conv.stride, pad=conv.pad)
-    return batchnorm2d_forward(net[bn_key], y, mode, relu=relu)
+    return batchnorm2d_forward(bn, y, mode, relu=relu)
 
 
 def _block_forward(blk: dict, x: T.Tensor, mode: str) -> T.Tensor:

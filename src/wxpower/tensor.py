@@ -341,11 +341,15 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 # Convolution / pooling
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
-           stride: int = 1, pad: int = 0) -> Tensor:
+           stride: int = 1, pad: int = 0, relu: bool = False) -> Tensor:
     """2-d cross-correlation over NCHW input with zero padding.
 
     kernel (F, C, kh, kw), bias (F,). Output (N, F, Ho, Wo) with
-    Ho = (H + 2*pad - kh)//stride + 1 and likewise Wo.
+    Ho = (H + 2*pad - kh)//stride + 1 and likewise Wo. With `relu`, the
+    relu that follows runs in the same record: the forward clamps the
+    conv's own fresh output in place, and the rule first applies the
+    relu's `g * (out > 0)`. Eval-mode ResNet units call it with a kernel
+    and bias that have their batchnorm folded in (`layers.fold_batchnorm`).
 
     One gemm per sample writes its NCHW output; no batch-wide column
     buffer or padded batch is built: each sample is padded in one reused
@@ -391,8 +395,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     for s in range(n):
         np.matmul(wmat, columns(s, buf), out=out[s])
         out[s] += bias.data[:, None]
+    out = out.reshape(n, f, ho, wo)
+    if relu:
+        np.maximum(out, 0, out=out)
+    relu_out = out if relu else None
 
     def rule(g):
+        if relu:
+            g = g * (relu_out > 0)  # subgradient at 0 is 0
         gb = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f).sum(axis=0)
         gm = g.reshape(n, f, ho * wo)
         gk = np.zeros_like(wmat)
@@ -410,7 +420,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
                 gx[s] = dxs[:, pad:pad + h, pad:pad + w]
         return (gx, gk.reshape(kernel.shape), gb)
 
-    return record("conv2d", (x, kernel, bias), out.reshape(n, f, ho, wo), rule)
+    return record("conv2d", (x, kernel, bias), out, rule)
 
 
 def avgpool2d(x: Tensor, k: int, stride: int) -> Tensor:

@@ -63,9 +63,17 @@ def test_synth_deterministic(pipe, tmp_path):
         assert (again / name).read_bytes() == (pipe["synth"] / name).read_bytes()
 
 
-def test_synth_bad_plants_is_config_error(tmp_path):
-    # default plant coordinates fall outside a tiny grid
+def test_synth_bad_plants_is_config_error(tmp_path, monkeypatch, capsys):
+    # default plant coordinates fall outside a tiny grid; the config says
+    # so before any field is drawn or any file written
+    def no_fields(*args, **kwargs):
+        raise AssertionError("a field was drawn")
+
+    monkeypatch.setattr(D, "_smooth_fields", no_fields)
     assert run("synth", "--out", tmp_path / "s", "--grid", 8) == cli.EXIT_CONFIG
+    assert run("synth", "--out", tmp_path / "s", "--grid", 6) == cli.EXIT_CONFIG
+    assert "solar plant (6, 6) outside 6x6 grid" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_import_normalizes_and_remasks(pipe):

@@ -897,10 +897,14 @@ def test_synth_csv_aggregates_to_truth():
 
 
 def test_synth_plant_validation():
-    with pytest.raises(D.DataError):
-        D.synth_generate(D.SynthConfig(solar_plants=((0, 0),)))   # on the corner mask
-    with pytest.raises(D.DataError):
-        D.synth_generate(D.SynthConfig(wind_plants=((99, 0),)))   # off grid
+    # the config itself refuses a plant the grid cannot hold
+    with pytest.raises(D.DataError, match="masked pixel"):
+        D.SynthConfig(solar_plants=((0, 0),))
+    with pytest.raises(D.DataError, match="outside 24x24 grid"):
+        D.SynthConfig(wind_plants=((99, 0),))
+    with pytest.raises(D.DataError, match="outside 18x18 grid"):
+        D.SynthConfig(height=18, width=18)  # the default plants need 19x19
+    assert D.SynthConfig(height=19, width=19).height == 19
     with pytest.raises(D.DataError):
         D.SynthConfig(noise_mw=-1.0)
     with pytest.raises(D.DataError):

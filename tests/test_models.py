@@ -220,6 +220,122 @@ def test_resnet_gradients_match_fd():
         assert max_rel_err(analytic, numeric) < GRAD_TOL, pname
 
 
+# ---------------------------------------------------------------------------
+# eval-mode batchnorm folding
+
+FOLD_RECORDS = {"bn_fold_scale", "bn_fold_kernel", "bn_fold_bias"}
+
+
+def fold_spec():
+    # stem 4 -> widths 8, 16: both blocks carry a projection unit, so the
+    # walk covers units with and without the relu
+    return M.ArchitectureSpec("resnet", 2, (12, 12), outputs=2, stem_width=4,
+                              stage_blocks=(1, 1), stage_widths=(8, 16), head_hidden=4)
+
+
+def stats_model(dtype, seed=5):
+    """A fold_spec model whose running stats, gamma, beta and conv biases
+    are all far from their initial 0/1 values."""
+    model = M.build_model(fold_spec(), Rng(seed), dtype=dtype)
+    g = np.random.default_rng(seed)
+    for name, t in {**model.params, **model.buffers}.items():
+        if name.endswith((".running_var", ".gamma")):
+            t.data[...] = g.uniform(0.5, 2.0, t.shape)
+        elif name.endswith((".running_mean", ".beta", ".bias")):
+            t.data[...] = g.normal(0.0, 0.5, t.shape)
+    return model
+
+
+def conv_then_batchnorm(net, conv_key, bn_key, x, mode, relu=False):
+    """The unit as an explicit conv2d -> batchnorm2d_forward walk."""
+    conv = net[conv_key]
+    y = T.conv2d(x, conv.kernel, conv.bias, stride=conv.stride, pad=conv.pad)
+    return M.batchnorm2d_forward(net[bn_key], y, mode, relu=relu)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_eval_fold_matches_conv_then_batchnorm(monkeypatch, dtype):
+    model = stats_model(dtype).eval()
+    x = T.from_array(np.random.default_rng(1).normal(size=(3, 2, 12, 12)), dtype=dtype)
+    folded = M.model_forward(model, x).data
+    monkeypatch.setattr(M, "_conv_bn", conv_then_batchnorm)
+    walked = M.model_forward(model, x).data
+    assert folded.dtype == walked.dtype == dtype
+    assert np.abs(walked).max() > 0.0
+    if dtype == np.float64:
+        npt.assert_allclose(folded, walked, rtol=0, atol=1e-10)
+    else:
+        npt.assert_allclose(folded, walked, rtol=1e-5)
+
+
+def test_eval_fold_gradients_match_fd():
+    # the input and every parameter of one relu unit, through its fold
+    x = np.random.default_rng(9).normal(size=(1, 2, 12, 12))
+    names = ["s1.b1.conv2.kernel", "s1.b1.conv2.bias", "s1.b1.bn2.gamma", "s1.b1.bn2.beta"]
+    weights = T.from_array([[1.0, -0.5]], dtype=np.float64)  # both outputs count
+
+    def loss(model, xt):
+        return T.reduce_sum(T.mul(M.model_forward(model, xt), weights))
+
+    model = stats_model(np.float64).eval()
+    xt = T.from_array(x, dtype=np.float64, requires_grad=True)
+    with T.Tape() as tape:
+        loss(model, xt)
+        T.backward(tape, T.create([1], 1.0, dtype=np.float64))
+
+    def f_input(xv):
+        return loss(stats_model(np.float64).eval(), T.Tensor(xv)).item()
+
+    assert max_rel_err(xt.grad, numeric_grad(f_input, [x], 0)) < GRAD_TOL
+    for name in names:
+        def f(pv, name=name):
+            m = stats_model(np.float64).eval()
+            m.params[name].data[...] = pv
+            return loss(m, T.from_array(x, dtype=np.float64)).item()
+
+        numeric = numeric_grad(f, [model.params[name].data], 0)
+        assert np.abs(numeric).max() > 0.0, name
+        assert max_rel_err(model.params[name].grad, numeric) < GRAD_TOL, name
+
+
+def test_train_mode_records_no_fold_and_matches_the_walk_bitwise(monkeypatch):
+    x = np.random.default_rng(2).normal(size=(4, 2, 12, 12)).astype(np.float32)
+
+    def step():
+        model = stats_model(np.float32).train()
+        with T.Tape() as tape:
+            out = M.model_forward(model, T.Tensor(x.copy()))
+            names = [op.name for op in tape.ops]
+            T.backward(tape, T.create(out.shape, 1.0))
+        grads = {k: p.grad for k, p in model.params.items()}
+        buffers = {k: b.data for k, b in model.buffers.items()}
+        return names, out.data, grads, buffers
+
+    names, out, grads, buffers = step()
+    assert not FOLD_RECORDS & set(names)
+    assert names.count("batchnorm2d") == 9  # stem + 2 blocks x (3 + proj)
+    monkeypatch.setattr(M, "_conv_bn", conv_then_batchnorm)
+    names_w, out_w, grads_w, buffers_w = step()
+    assert names == names_w
+    npt.assert_array_equal(out, out_w)
+    for k in grads:
+        npt.assert_array_equal(grads[k], grads_w[k], err_msg=k)
+    for k in buffers:
+        npt.assert_array_equal(buffers[k], buffers_w[k], err_msg=k)
+
+
+def test_eval_tape_folds_every_unit_into_one_conv_record():
+    model = stats_model(np.float32).eval()
+    x = T.from_array(np.random.default_rng(3).normal(size=(1, 2, 12, 12)), requires_grad=True)
+    with T.Tape() as tape:
+        M.model_forward(model, x)
+        names = [op.name for op in tape.ops]
+    assert "batchnorm2d" not in names
+    units = names.count("conv2d")
+    assert units == 9
+    assert all(names.count(r) == units for r in FOLD_RECORDS)
+
+
 def test_input_gradient_flows_to_leaf():
     model = M.build_model(tiny_resnet_spec(), Rng(6), dtype=np.float64).eval()
     x = T.from_array(np.random.default_rng(5).normal(size=(1, 2, 16, 16)),

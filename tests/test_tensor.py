@@ -655,6 +655,36 @@ def test_conv2d_per_sample_padding_is_bitwise_the_batch_padded_conv(ksize, strid
         npt.assert_array_equal(got, ref)
 
 
+def test_conv2d_relu_is_bitwise_conv_then_relu():
+    # the flag clamps the conv's own output in place and its rule masks g
+    # first: the same bits as a relu record after the conv, and the tape
+    # holds the clamped output (the input is the caller's) and nothing else
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(4, 4, 32, 31)).astype(np.float32)
+    k = rng.normal(size=(8, 4, 3, 3)).astype(np.float32)
+    b = rng.normal(size=8).astype(np.float32)
+    g = rng.normal(size=(4, 8, 32, 31)).astype(np.float32)
+    results = []
+    for fused in (True, False):
+        ts = [T.Tensor(a.copy(), requires_grad=True) for a in (x, k, b)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with T.Tape() as tape:
+                out = (T.conv2d(*ts, pad=1, relu=True) if fused
+                       else T.relu(T.conv2d(*ts, pad=1)))
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        if fused:
+            assert held < 1.1 * out.data.nbytes, held
+        T.backward(tape, T.Tensor(g))
+        results.append([out.data] + [t.grad for t in ts])
+    assert (results[0][0] == 0).any() and (results[0][0] > 0).any()
+    for got, ref in zip(*results):
+        npt.assert_array_equal(got, ref)
+
+
 def test_conv2d_keeps_no_batch_wide_columns():
     # 7x7 stride 1: the (N*Ho*Wo, C*kh*kw) column buffer dwarfs the input
     n, c, f, hw, ksize = 16, 4, 4, 48, 7
