@@ -375,10 +375,10 @@ def cmd_train(args) -> int:
     build = M.build_linear if family == "linear" else M.build_resnet
     model = build(channels, Rng(config.seed), input_hw=ds.cube.shape[2:])
 
-    os.makedirs(out_dir, exist_ok=True)
+    # the config and input hashes go first, so a run that fails keeps them
+    _write_run_files(out_dir, r.used, [cube_path, power_path, splits_path])
     run = O.train(model, ds, split, config, out_dir=out_dir, log=print)
     _charts_from_history(os.path.join(out_dir, "history.csv"), out_dir)
-    _write_run_files(out_dir, r.used, [cube_path, power_path, splits_path])
     print(f"final val rmse {run.final_val.rmse:.4f} MW, "
           f"solar acc {run.final_val.solar_acc:.4f}, "
           f"wind acc {run.final_val.wind_acc:.4f}")

@@ -8,13 +8,18 @@ allocates no parameter-sized temporary. add_l2_gradients is the unfused
 reference for that term. Training runs a fixed number of epochs
 through exactly four learning-rate stages. The stage index alone sets the
 rate, and one rule ends a stage: every stage_length epochs, or with adaptive
-stages once validation RMSE has stopped improving (patience 2).
+stages once validation RMSE has stopped improving (patience 2) while a later
+stage and a later epoch remain.
+
+TrainState is the whole state between epochs and run_epoch the one step
+from an epoch to the next; train() loops over it and writes the files.
+Timing and resume wrap run_epoch and TrainState from outside.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -259,11 +264,18 @@ class EvalResult:
 
 
 @dataclass
-class TrainRun:
-    history: list
-    train_mean_solar: float
+class TrainState:
+    """Everything one epoch hands the next; the next epoch is len(history)."""
+
+    adam: AdamState
+    rng: Rng                  # the dropout stream
+    train_mean_solar: float   # the train split's means, which accuracy divides by
     train_mean_wind: float
-    final_val: EvalResult
+    stage: int = 0            # stage, stall and best_val: the stage rule's state
+    stall: int = 0
+    best_val: float = np.inf
+    history: list = field(default_factory=list)
+    final_val: EvalResult | None = None   # the last epoch's val score
 
 
 def evaluate(model: Model, dataset, ids, stack: int, train_means,
@@ -295,31 +307,71 @@ def evaluate(model: Model, dataset, ids, stack: int, train_means,
 
 
 def _history_csv(history) -> str:
-    head = ("epoch,stage,lr,train_rmse,val_rmse,"
-            "train_solar_acc,train_wind_acc,val_solar_acc,val_wind_acc")
-    rows = [head]
-    for h in history:
-        rows.append(f"{h.epoch},{h.stage},{h.lr:.9g},{h.train_rmse:.9g},{h.val_rmse:.9g},"
-                    f"{h.train_solar_acc:.9g},{h.train_wind_acc:.9g},"
-                    f"{h.val_solar_acc:.9g},{h.val_wind_acc:.9g}")
-    return "\n".join(rows) + "\n"
+    names = [f.name for f in fields(EpochStats)]
+    # ".9g" prints an int below 10**9 as itself: one format for every column
+    rows = [",".join(f"{getattr(h, name):.9g}" for name in names) for h in history]
+    return "\n".join([",".join(names), *rows]) + "\n"
+
+
+def run_epoch(state: TrainState, model: Model, dataset, split,
+              config: TrainConfig) -> bool:
+    """Train and score epoch len(state.history); return whether its stage ended.
+
+    Trains at schedule.stage_lrs[state.stage] on batches shuffled by
+    (config.seed, epoch), scores both splits in eval mode for the history
+    row, then applies the stage rule. Changes only `state` and the model:
+    no log, no file. Raises NumericError on the first non-finite loss.
+    """
+    epoch, stage = len(state.history), state.stage
+    lr = config.schedule.stage_lrs[stage]
+    train_means = (state.train_mean_solar, state.train_mean_wind)
+    model.train()
+    for batch_ids in iter_batches(split.train, config.batch_size, config.seed, epoch):
+        x, y = dataset.make_batch(batch_ids, split.stack)
+        with T.Tape() as tape:
+            pred = model_forward(model, x, rng=state.rng)
+            loss = rmse_loss(pred, y)
+            if not np.isfinite(loss.data[0]):
+                raise NumericError(
+                    f"non-finite loss at epoch {epoch}, first id {batch_ids[0]}")
+            T.backward(tape, T.create([1], 1.0, dtype=loss.data.dtype))
+        grads = {k: p.grad for k, p in model.params.items() if p.grad is not None}
+        adam_step(state.adam, model.params, grads, lr, config.l2_lambda)
+        T.clear_grads(model.params.values())
+
+    tr = evaluate(model, dataset, split.train, split.stack, train_means, config.batch_size)
+    va = evaluate(model, dataset, split.val, split.stack, train_means, config.batch_size)
+    state.history.append(EpochStats(epoch, stage, lr, tr.rmse, va.rmse,
+                                    tr.solar_acc, tr.wind_acc, va.solar_acc, va.wind_acc))
+    state.final_val = va
+
+    if va.rmse < state.best_val:
+        state.best_val = va.rmse
+        state.stall = 0
+    else:
+        state.stall += 1
+
+    if config.adaptive_stages:
+        stage_ends = (state.stall >= 2 and stage + 1 < len(config.schedule.stage_lrs)
+                      and epoch + 1 < config.epochs)
+    else:
+        stage_ends = (epoch + 1) % config.schedule.stage_length == 0
+    if stage_ends:
+        state.stage += 1
+        state.stall = 0
+    return stage_ends
 
 
 def train(model: Model, dataset, split, config: TrainConfig,
-          out_dir=None, log=None) -> TrainRun:
-    """Run the staged ADAM loop over the split's train ids.
+          out_dir=None, log=None) -> TrainState:
+    """Check the inputs, then loop run_epoch for config.epochs epochs.
 
-    `split` needs .train, .val and .stack. Per epoch: shuffled batches
-    (keyed by config.seed and the epoch), forward in train mode, pooled
-    RMSE backward, ADAM step with the L2 gradient folded in; then a full eval-mode pass over
-    the train and val splits for the history row. The epoch trains at
-    schedule.stage_lrs[stage]; after its row the stage ends every
-    stage_length epochs, or with adaptive_stages once val RMSE has not
-    improved for 2 epochs while a later stage and epoch remain. An ended
-    stage k is saved as out_dir/stage<k>.wxpm, beside final.wxpm and
-    history.csv. Raises NumericError on the first
-    non-finite loss, and ValueError before the first step when a ResNet
-    with a 1x1 last stage would get a one-sample batch.
+    `split` needs .train, .val and .stack. Each epoch's row is logged, an
+    ended stage k is saved as out_dir/stage<k>.wxpm, and final.wxpm and
+    history.csv close the run. Returns the TrainState, the whole state
+    between epochs; timing and resume wrap run_epoch, the step from one
+    state to the next. Raises ValueError before the first step when a
+    ResNet with a 1x1 last stage would get a one-sample batch.
     """
     train_ids, val_ids, stack = list(split.train), list(split.val), split.stack
     if not train_ids or not val_ids:
@@ -343,66 +395,27 @@ def train(model: Model, dataset, split, config: TrainConfig,
     train_means = dataset.targets(train_ids).mean(axis=0)
     if (train_means <= 0).any():
         raise ValueError(f"training split has nonpositive mean production {train_means}")
+    state = TrainState(AdamState.init(model.params), Rng(config.seed),
+                       float(train_means[0]), float(train_means[1]))
 
-    state = AdamState.init(model.params)
-    drop_rng = Rng(config.seed)
-    sched = config.schedule
-    history: list[EpochStats] = []
-    stage, stall, best_val = 0, 0, np.inf  # the whole schedule state
-
-    def say(msg):
-        if log:
-            log(msg)
-
+    say = log or (lambda msg: None)
     say(f"training {model.spec.family}: {param_count(model)} params, "
         f"{len(train_ids)} train / {len(val_ids)} val samples, stack {stack}")
 
-    for epoch in range(config.epochs):
-        lr = sched.stage_lrs[stage]
-        model.train()
-        for batch_ids in iter_batches(train_ids, config.batch_size, config.seed, epoch):
-            x, y = dataset.make_batch(batch_ids, stack)
-            with T.Tape() as tape:
-                pred = model_forward(model, x, rng=drop_rng)
-                loss = rmse_loss(pred, y)
-                if not np.isfinite(loss.data[0]):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, first id {batch_ids[0]}")
-                T.backward(tape, T.create([1], 1.0, dtype=loss.data.dtype))
-            grads = {k: p.grad for k, p in model.params.items() if p.grad is not None}
-            adam_step(state, model.params, grads, lr, config.l2_lambda)
-            T.clear_grads(model.params.values())
-
-        tr = evaluate(model, dataset, train_ids, stack, train_means, config.batch_size)
-        va = evaluate(model, dataset, val_ids, stack, train_means, config.batch_size)
-        history.append(EpochStats(epoch, stage, lr, tr.rmse, va.rmse,
-                                  tr.solar_acc, tr.wind_acc, va.solar_acc, va.wind_acc))
-        say(f"epoch {epoch:3d} stage {stage + 1} lr {lr:.1e} "
-            f"train_rmse {tr.rmse:.4f} val_rmse {va.rmse:.4f}")
-
-        if va.rmse < best_val:
-            best_val = va.rmse
-            stall = 0
-        else:
-            stall += 1
-
-        if config.adaptive_stages:
-            stage_ends = (stall >= 2 and stage + 1 < len(sched.stage_lrs)
-                          and epoch + 1 < config.epochs)
-        else:
-            stage_ends = (epoch + 1) % sched.stage_length == 0
-        if stage_ends:
-            if out_dir is not None:
-                save_checkpoint(model, os.path.join(out_dir, f"stage{stage + 1}.wxpm"))
-            stage += 1
-            stall = 0
-            if config.adaptive_stages:
-                say(f"epoch {epoch + 1}: validation stalled, advancing to stage {stage + 1}")
+    while len(state.history) < config.epochs:
+        stage_ended = run_epoch(state, model, dataset, split, config)
+        h = state.history[-1]
+        say(f"epoch {h.epoch:3d} stage {h.stage + 1} lr {h.lr:.1e} "
+            f"train_rmse {h.train_rmse:.4f} val_rmse {h.val_rmse:.4f}")
+        if stage_ended and out_dir is not None:
+            save_checkpoint(model, os.path.join(out_dir, f"stage{state.stage}.wxpm"))
+        if stage_ended and config.adaptive_stages:
+            say(f"epoch {h.epoch + 1}: validation stalled, advancing to stage {state.stage + 1}")
 
     model.eval()
     if out_dir is not None:
         save_checkpoint(model, os.path.join(out_dir, "final.wxpm"))
         with open(os.path.join(out_dir, "history.csv"), "w") as fh:
-            fh.write(_history_csv(history))
+            fh.write(_history_csv(state.history))
 
-    return TrainRun(history, float(train_means[0]), float(train_means[1]), va)
+    return state

@@ -210,6 +210,26 @@ def test_train_deterministic_bitwise(pipe, tmp_path):
     assert (d2 / "loss_curves.svg").read_bytes() == (src / "loss_curves.svg").read_bytes()
 
 
+def test_train_resnet_rerun_bitwise(pipe, tmp_path):
+    # criterion 8 reruns the linear chain; this reruns a stack-5 ResNet with
+    # adaptive stages. Its trajectory depends on the BLAS thread count: on two
+    # OpenBLAS threads a stage ends after epoch 3 and stage1.wxpm is compared too
+    splits = tmp_path / "splits5.txt"
+    assert run("split", "--cube", pipe["cube"], "--power", pipe["power"],
+               "--stack", 5, "--seed", 3, "--out", splits) == 0
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run("train", "--cube", pipe["cube"], "--power", pipe["power"],
+                   "--splits", splits, "--model", "resnet", "--adaptive-stages",
+                   "--stage-length", 2, "--epochs", 5, "--batch-size", 8,
+                   "--lrs", "0.01,0.003,0.001,0.0003", "--seed", 1, "--out", out) == 0
+    names = sorted(p.name for p in outs[0].glob("*.wxpm"))
+    assert names == sorted(p.name for p in outs[1].glob("*.wxpm"))
+    assert "final.wxpm" in names
+    for name in ["history.csv", *names]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_train_resnet_l2_default(pipe, tmp_path):
     d = tmp_path / "rn"
     assert run("train", "--cube", pipe["cube"], "--power", pipe["power"],
@@ -543,3 +563,6 @@ def test_numeric_failure_exit_code(pipe, tmp_path):
                "--stage-length", 1, "--epochs", 1, "--seed", 0,
                "--out", tmp_path / "boom")
     assert code == cli.EXIT_NUMERIC
+    # the run's record is written before training, so the failed run keeps it
+    assert "model=linear" in (tmp_path / "boom" / "config.resolved").read_text()
+    assert len((tmp_path / "boom" / "inputs.sha256").read_text().splitlines()) == 3

@@ -449,6 +449,72 @@ def test_train_adaptive_stall_on_the_last_epoch_ends_no_stage(tmp_path):
     assert sorted(p.name for p in tmp_path.glob("*.wxpm")) == ["final.wxpm"]
 
 
+def tiny_resnet_toy():
+    """A ResNet on 8x8 toy frames whose adaptive stages advance twice in 8 epochs."""
+    model = M.build_resnet(2, Rng(4), input_hw=(8, 8), stem_width=4, stage_blocks=(1, 1),
+                           stage_widths=(4, 4), head_hidden=4)
+    config = O.TrainConfig(batch_size=8, epochs=8, l2_lambda=0.001, seed=3,
+                           adaptive_stages=True,
+                           schedule=O.StageSchedule(stage_length=2,
+                                                    stage_lrs=(0.1, 0.03, 0.01, 0.003)))
+    return model, toy_problem(hw=8), config
+
+
+def fresh_state(model, ds, split, config):
+    """The TrainState that train() starts from."""
+    means = ds.targets(split.train).mean(axis=0)
+    return O.TrainState(O.AdamState.init(model.params), Rng(config.seed),
+                        float(means[0]), float(means[1]))
+
+
+@pytest.mark.parametrize("family", ["linear-dropout", "resnet-adaptive"])
+def test_run_epoch_by_hand_equals_train(family):
+    # resume will rebuild a TrainState and keep calling run_epoch; that is
+    # only sound if the hand-driven loop is train() to the bit
+    if family == "linear-dropout":
+        def build():
+            model = M.build_linear(2, Rng(1), input_hw=(4, 4), fc_widths=(16,),
+                                   dropout_p=0.3)
+            return model, toy_problem(), quick_config(l2_lambda=0.01)
+    else:
+        build = tiny_resnet_toy
+    split = SplitStub(train=list(range(16)), val=list(range(16, 24)), stack=1)
+
+    model, ds, config = build()
+    run = O.train(model, ds, split, config)
+
+    hand, ds, config = build()
+    state = fresh_state(hand, ds, split, config)
+    ended = [O.run_epoch(state, hand, ds, split, config) for _ in range(config.epochs)]
+
+    assert state.history == run.history
+    assert state.final_val.rmse == run.final_val.rmse == run.history[-1].val_rmse
+    assert (state.stage, state.stall, state.best_val) == (run.stage, run.stall, run.best_val)
+    advances = [i for i in range(1, config.epochs)
+                if run.history[i].stage != run.history[i - 1].stage]
+    assert sum(ended[:-1]) == len(advances)
+    if family == "resnet-adaptive":
+        assert len(advances) >= 1
+    assert hand.params.keys() == model.params.keys()
+    assert hand.buffers.keys() == model.buffers.keys()
+    for k in model.params:
+        assert hand.params[k].data.tobytes() == model.params[k].data.tobytes(), k
+    for k in model.buffers:
+        assert hand.buffers[k].data.tobytes() == model.buffers[k].data.tobytes(), k
+
+
+def test_run_epoch_leaves_no_file_and_no_log(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(O, "save_checkpoint", None)
+    model, ds, config = tiny_resnet_toy()
+    split = SplitStub(train=list(range(16)), val=list(range(16, 24)), stack=1)
+    state = fresh_state(model, ds, split, config)
+    assert O.run_epoch(state, model, ds, split, config) is False
+    assert len(state.history) == 1 and state.history[0].epoch == 0
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr() == ("", "")
+
+
 def test_train_requires_positive_train_means():
     ds = toy_problem()
     ds.y[:, :] = 0.0
