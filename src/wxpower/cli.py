@@ -247,20 +247,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def load_plants(path) -> dict:
-    """Plant pixels from plants.csv: source -> [(row, col), ...]."""
-    out: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["source", "row", "col"]:
-            raise D.DataError(f"{path}: bad plant file header")
-        for row in reader:
-            if row:
-                out.setdefault(row[0], []).append((int(row[1]), int(row[2])))
-    return out
-
-
 def _load_power_any(path) -> D.PowerSeries:
     """Accept either power format: the raw 5-minute feed (timestamp,
     source, mw), which gets aggregated to hourly means, or the canonical
@@ -283,12 +269,9 @@ def _load_normalized_cube(path) -> D.WeatherCube:
     return cube
 
 
-def _load_aligned(cube_path, power_path, exclude: bool = False):
+def _load_aligned(cube_path, power_path):
     cube = _load_normalized_cube(cube_path)
     power = _load_power_any(power_path)
-    if exclude:
-        for src in ("solar", "wind"):
-            D.detect_constant_runs(power, src)
     return D.align(cube, power)
 
 
@@ -300,9 +283,11 @@ def cmd_split(args) -> int:
     out = r.require("out")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    ds = _load_aligned(r.require("cube"), r.require("power"), exclude)
+    ds = _load_aligned(r.require("cube"), r.require("power"))
     eligible = ds.eligible_indices(stack)
     if exclude:
+        for src in ("solar", "wind"):
+            D.detect_constant_runs(ds.power, src)
         eligible = [i for i in eligible if not ds.power.flags[ds.power_idx[i]]]
     split = D.split_indices(eligible, seed, stack)
     split.save(out)
@@ -379,9 +364,10 @@ def cmd_train(args) -> int:
     _write_run_files(out_dir, r.used, [cube_path, power_path, splits_path])
     run = O.train(model, ds, split, config, out_dir=out_dir, log=print)
     _charts_from_history(os.path.join(out_dir, "history.csv"), out_dir)
-    print(f"final val rmse {run.final_val.rmse:.4f} MW, "
-          f"solar acc {run.final_val.solar_acc:.4f}, "
-          f"wind acc {run.final_val.wind_acc:.4f}")
+    last = run.history[-1]
+    print(f"final val rmse {last.val_rmse:.4f} MW, "
+          f"solar acc {last.val_solar_acc:.4f}, "
+          f"wind acc {last.val_wind_acc:.4f}")
     return EXIT_OK
 
 
@@ -416,9 +402,10 @@ def cmd_eval(args) -> int:
     ids = list(getattr(split, subset))
     if not ids:
         raise D.DataError(f"{splits_path}: the {subset} group is empty")
+    train_means = O.train_split_means(ds, split.train)
+    window = None if ws is None else _window_ids(ds, split.stack, ws, we)
     model = M.load_checkpoint(ckpt_path)
     _check_fit(model, ds.cube, split.stack, "split")
-    train_means = tuple(ds.targets(list(split.train)).mean(axis=0))
     res = O.evaluate(model, ds, ids, split.stack, train_means)
     rep = compute_report(res.pred, res.target, train_means)
     os.makedirs(out_dir, exist_ok=True)
@@ -427,15 +414,15 @@ def cmd_eval(args) -> int:
     with open(os.path.join(out_dir, "report.csv"), "w") as fh:
         fh.write(report_csv(rep))
     print(report_text(rep), end="")
-    if ws is not None:
-        _write_window(ds, model, split.stack, ws, we, out_dir)
+    if window is not None:
+        _write_window(ds, model, split.stack, window, out_dir)
     _write_run_files(out_dir, r.used,
                      [ckpt_path, cube_path, power_path, splits_path])
     return EXIT_OK
 
 
-def _write_window(ds, model, stack, ws, we, out_dir) -> None:
-    """Chronological true-vs-estimated slice as CSV + SVG."""
+def _window_ids(ds, stack, ws, we) -> list:
+    """The eligible sample ids inside [ws, we]; refused if out of range or empty."""
     start, end = D.parse_timestamp(ws), D.parse_timestamp(we)
     lo, hi = ds.timestamps[0], ds.timestamps[-1]
     if start < lo or end > hi:
@@ -447,6 +434,11 @@ def _write_window(ds, model, stack, ws, we, out_dir) -> None:
            if start <= ds.timestamps[i] <= end and i in eligible]
     if not ids:
         raise D.DataError("no evaluable samples inside the window")
+    return ids
+
+
+def _write_window(ds, model, stack, ids, out_dir) -> None:
+    """Chronological true-vs-estimated slice as CSV + SVG."""
     res = O.evaluate(model, ds, ids, stack, (1.0, 1.0))
     stamps = [D.format_timestamp(ds.timestamps[i]) for i in ids]
     with open(os.path.join(out_dir, "window.csv"), "w") as fh:

@@ -548,6 +548,8 @@ def load_power(path) -> PowerSeries:
                 wind.append(float(row[2]))
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: bad value") from e
+            if not (np.isfinite(solar[-1]) and np.isfinite(wind[-1])):
+                raise DataError(f"{path}:{lineno}: non-finite mw")
             flags.append(set(f for f in row[3].split(";") if f))
     if not stamps:
         raise DataError(f"{path}: empty power file")

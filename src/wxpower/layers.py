@@ -37,8 +37,6 @@ class Rng:
     stream in construction order, dropout per forward call.
     """
 
-    algorithm = "pcg64"
-
     def __init__(self, seed: int):
         if not isinstance(seed, int) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
@@ -92,10 +90,6 @@ class LinearLayer:
         weight = uniform_init((out_features, in_features), bound, rng, dtype)
         bias = T.create([out_features], 0.0, dtype=dtype, requires_grad=True)
         return cls(weight, bias)
-
-
-def linear_forward(layer: LinearLayer, x: T.Tensor) -> T.Tensor:
-    return T.linear(x, layer.weight, layer.bias)
 
 
 # ---------------------------------------------------------------------------

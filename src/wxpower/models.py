@@ -51,7 +51,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import (BatchNorm2d, LinearLayer, Rng, batchnorm2d_forward, dropout,
-                     fold_batchnorm, kaiming_init, linear_forward)
+                     fold_batchnorm, kaiming_init)
 
 CHECKPOINT_MAGIC = b"WXPM"
 CHECKPOINT_VERSION = 1
@@ -299,7 +299,7 @@ def _forward_linear(model: Model, x: T.Tensor, rng: Rng | None) -> T.Tensor:
     h = T.reshape(x, (n, spec.input_channels * spec.input_hw[0] * spec.input_hw[1]))
     for lay in model.net.values():
         h = dropout(h, spec.dropout_p, model.mode, rng)
-        h = T.relu(linear_forward(lay, h))
+        h = T.relu(T.linear(h, lay.weight, lay.bias))
     return h
 
 
@@ -334,8 +334,9 @@ def _forward_resnet(model: Model, x: T.Tensor) -> T.Tensor:
         if si < n_stages:
             h = T.avgpool2d(h, k=2, stride=2)
     h = T.reduce_mean(h, axes=(2, 3))          # global average pool -> (N, C)
-    h = T.relu(linear_forward(net["head"]["fc1"], h))
-    return T.relu(linear_forward(net["head"]["fc2"], h))
+    fc1, fc2 = net["head"]["fc1"], net["head"]["fc2"]
+    h = T.relu(T.linear(h, fc1.weight, fc1.bias))
+    return T.relu(T.linear(h, fc2.weight, fc2.bias))
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,14 @@ class TrainState:
     stall: int = 0
     best_val: float = np.inf
     history: list = field(default_factory=list)
-    final_val: EvalResult | None = None   # the last epoch's val score
+
+
+def train_split_means(dataset, train_ids) -> tuple[float, float]:
+    """The train split's (solar, wind) means; ValueError unless both are positive."""
+    means = dataset.targets(train_ids).mean(axis=0)
+    if (means <= 0).any():
+        raise ValueError(f"training split has nonpositive mean production {means}")
+    return float(means[0]), float(means[1])
 
 
 def evaluate(model: Model, dataset, ids, stack: int, train_means,
@@ -343,7 +350,6 @@ def run_epoch(state: TrainState, model: Model, dataset, split,
     va = evaluate(model, dataset, split.val, split.stack, train_means, config.batch_size)
     state.history.append(EpochStats(epoch, stage, lr, tr.rmse, va.rmse,
                                     tr.solar_acc, tr.wind_acc, va.solar_acc, va.wind_acc))
-    state.final_val = va
 
     if va.rmse < state.best_val:
         state.best_val = va.rmse
@@ -392,11 +398,8 @@ def train(model: Model, dataset, split, config: TrainConfig,
                 f"leave a one-sample batch, which batchnorm cannot train at the "
                 f"{h}x{w} last ResNet stage; choose another batch size")
 
-    train_means = dataset.targets(train_ids).mean(axis=0)
-    if (train_means <= 0).any():
-        raise ValueError(f"training split has nonpositive mean production {train_means}")
     state = TrainState(AdamState.init(model.params), Rng(config.seed),
-                       float(train_means[0]), float(train_means[1]))
+                       *train_split_means(dataset, train_ids))
 
     say = log or (lambda msg: None)
     say(f"training {model.spec.family}: {param_count(model)} params, "

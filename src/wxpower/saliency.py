@@ -62,10 +62,9 @@ def saliency_map(model: Model, x, output_index: int, *, timestamp: str = "",
     finally:
         if prev_mode == "train":
             model.train()
-    grad = inp.grad if inp.grad is not None else np.zeros_like(data)
     T.clear_grads(model.params.values())
 
-    values = np.max(np.abs(grad[0]), axis=0)
+    values = np.max(np.abs(inp.grad[0]), axis=0)
     return SaliencyMap(values, OUTPUT_NAMES[output_index],
                        timestamp=timestamp, mask=mask)
 
@@ -108,16 +107,6 @@ def _export_csv(smap: SaliencyMap, path) -> None:
             fh.write("\n")
 
 
-def load_map_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([np.float32(v) for v in line.split(",")])
-    return np.array(rows, dtype=np.float32)
-
-
 def _export_pgm(smap: SaliencyMap, path) -> None:
     h, w = smap.values.shape
     top = float(smap.values.max()) if smap.values.size else 0.0
@@ -134,30 +123,3 @@ def _export_pgm(smap: SaliencyMap, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(pix.tobytes())
-
-
-def load_map_pgm(path) -> np.ndarray:
-    """Read back a P5 file written by export_map (scaled bytes, not floats)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(b"P5"):
-        raise ValueError(f"{path} is not a binary PGM")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":
-            while pos < len(blob) and blob[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(int(blob[start:pos]))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
-    if maxval != 255:
-        raise ValueError(f"expected 8-bit PGM, maxval {maxval}")
-    pix = np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=pos)
-    return pix.reshape(h, w).copy()

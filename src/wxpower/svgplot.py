@@ -52,9 +52,9 @@ class Series:
 
 
 def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "") -> str:
-    """Render series (iterable of Series or (label, xs, ys)) to SVG text."""
+    """Render series (iterable of (label, xs, ys)) to SVG text."""
     width, height = 720, 420
-    ss = [s if isinstance(s, Series) else Series(*s) for s in series]
+    ss = [Series(*s) for s in series]
     if not ss:
         raise ValueError("at least one series required")
 

@@ -47,8 +47,10 @@ def test_synth_artifacts(pipe):
     assert not (synth / "cube.wxc").exists()
     cube = D.load_frames(synth / "manifest.csv")
     assert cube.shape == (120, 6, 20, 20)
-    plants = cli.load_plants(synth / "plants.csv")
-    assert len(plants["solar"]) == 5 and len(plants["wind"]) == 4
+    plants = (synth / "plants.csv").read_text().splitlines()
+    assert plants[0] == "source,row,col"
+    sources = [line.split(",")[0] for line in plants[1:]]
+    assert sources.count("solar") == 5 and sources.count("wind") == 4
     truth = (synth / "truth.csv").read_text().splitlines()
     assert truth[0] == "timestamp,solar_mw,wind_mw" and len(truth) == 121
 
@@ -361,13 +363,57 @@ def test_eval_window_slice(pipe, tmp_path):
     assert (d / "window.svg").read_text().count("<polyline") == 4
 
 
-def test_eval_window_out_of_range(pipe, tmp_path):
-    code = run("eval", "--checkpoint", pipe["train"] / "final.wxpm",
-               "--cube", pipe["cube"], "--power", pipe["power"],
-               "--splits", pipe["splits"], "--out", tmp_path / "w2",
-               "--window-start", "2020-01-01T00:00:00",
-               "--window-end", "2020-01-02T00:00:00")
-    assert code == cli.EXIT_DATA
+def test_eval_window_out_of_range(pipe, tmp_path, monkeypatch, capsys):
+    # a window past the data, and one between two hours: both are refused
+    # before the checkpoint loads, so no report is written
+    forbid_model_work(monkeypatch, "a bad window")
+    for start, end, msg in [
+            ("2020-01-01T00:00:00", "2020-01-02T00:00:00", "outside data range"),
+            ("2019-01-02T00:10:00", "2019-01-02T00:50:00", "no evaluable samples")]:
+        out = tmp_path / "w2"
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", pipe["train"] / "final.wxpm",
+                   "--cube", pipe["cube"], "--power", pipe["power"],
+                   "--splits", pipe["splits"], "--out", out,
+                   "--window-start", start, "--window-end", end) == cli.EXIT_DATA
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_train_and_eval_refuse_a_nonpositive_train_mean_alike(
+        pipe, tmp_path, monkeypatch, capsys):
+    power = D.aggregate_power(os.fspath(pipe["power"]))
+    power.wind[:] = 0.0
+    calm = tmp_path / "calm.csv"
+    D.save_power(power, calm)
+    common = ["--cube", pipe["cube"], "--power", calm, "--splits", pipe["splits"]]
+    capsys.readouterr()
+    assert run("train", *common, "--out", tmp_path / "tr") == cli.EXIT_CONFIG
+    train_err = capsys.readouterr().err
+    assert "training split has nonpositive mean production" in train_err
+    forbid_model_work(monkeypatch, "a nonpositive train mean")
+    assert run("eval", "--checkpoint", pipe["train"] / "final.wxpm", *common,
+               "--out", tmp_path / "ev") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == train_err
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("cmd", ["split", "train", "eval", "anomalies"])
+def test_non_finite_hourly_power_is_a_data_error(pipe, tmp_path, monkeypatch,
+                                                 capsys, cmd):
+    power = D.aggregate_power(os.fspath(pipe["power"]))
+    power.solar[7] = np.inf
+    bad = tmp_path / "bad.csv"
+    D.save_power(power, bad)
+    argv = {"split": ["--cube", pipe["cube"]],
+            "train": ["--cube", pipe["cube"], "--splits", pipe["splits"]],
+            "eval": ["--checkpoint", pipe["train"] / "final.wxpm",
+                     "--cube", pipe["cube"], "--splits", pipe["splits"]],
+            "anomalies": []}[cmd]
+    forbid_model_work(monkeypatch, "non-finite power")
+    capsys.readouterr()
+    assert run(cmd, "--power", bad, *argv, "--out", tmp_path / "out") == cli.EXIT_DATA
+    assert f"{bad}:9: non-finite mw" in capsys.readouterr().err
 
 
 def test_saliency_by_timestamp_and_index_agree(pipe, tmp_path):

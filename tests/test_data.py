@@ -554,6 +554,19 @@ def test_power_file_roundtrip(tmp_path):
     assert (again.timestamps == ps.timestamps).all()
 
 
+@pytest.mark.parametrize("column,text", [(1, "nan"), (2, "inf"), (1, "-inf")])
+def test_load_power_refuses_non_finite_mw(tmp_path, column, text):
+    # aggregate_power refuses these too: no command may train or score on them
+    rows = ["2019-01-01T00:00:00,1.0,2.0,", "2019-01-01T01:00:00,1.0,2.0,"]
+    cells = rows[1].split(",")
+    cells[column] = text
+    rows[1] = ",".join(cells)
+    p = tmp_path / "hourly.csv"
+    p.write_text("timestamp,solar_mw,wind_mw,flags\n" + "\n".join(rows) + "\n")
+    with pytest.raises(D.DataError, match=f"{p}:3: non-finite mw"):
+        D.load_power(p)
+
+
 # ---------------------------------------------------------------------------
 # constant-run anomalies
 

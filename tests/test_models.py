@@ -284,14 +284,14 @@ def test_eval_fold_gradients_match_fd():
         T.backward(tape, T.create([1], 1.0, dtype=np.float64))
 
     def f_input(xv):
-        return loss(stats_model(np.float64).eval(), T.Tensor(xv)).item()
+        return float(loss(stats_model(np.float64).eval(), T.Tensor(xv)).data[0])
 
     assert max_rel_err(xt.grad, numeric_grad(f_input, [x], 0)) < GRAD_TOL
     for name in names:
         def f(pv, name=name):
             m = stats_model(np.float64).eval()
             m.params[name].data[...] = pv
-            return loss(m, T.from_array(x, dtype=np.float64)).item()
+            return float(loss(m, T.from_array(x, dtype=np.float64)).data[0])
 
         numeric = numeric_grad(f, [model.params[name].data], 0)
         assert np.abs(numeric).max() > 0.0, name

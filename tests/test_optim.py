@@ -488,7 +488,6 @@ def test_run_epoch_by_hand_equals_train(family):
     ended = [O.run_epoch(state, hand, ds, split, config) for _ in range(config.epochs)]
 
     assert state.history == run.history
-    assert state.final_val.rmse == run.final_val.rmse == run.history[-1].val_rmse
     assert (state.stage, state.stall, state.best_val) == (run.stage, run.stall, run.best_val)
     advances = [i for i in range(1, config.epochs)
                 if run.history[i].stage != run.history[i - 1].stage]

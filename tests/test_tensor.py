@@ -759,7 +759,7 @@ def test_grad_composite_chain():
 
             def f(*arrs):
                 o = build(*[T.from_array(a, dtype=np.float64) for a in arrs])
-                return o.item()
+                return float(o.data[0])
 
             numeric = numeric_grad(f, arrays, idx)
             assert max_rel_err(ts[idx].grad, numeric) < GRAD_TOL
