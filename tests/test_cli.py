@@ -10,6 +10,8 @@ from wxpower import data as D
 from wxpower import models as M
 from wxpower.layers import Rng
 
+from test_data import whole_cube_stats
+
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
@@ -88,7 +90,10 @@ def test_import_normalizes_and_remasks(pipe):
     per_band = cube.frames[:, :, keep].astype(np.float64)
     assert np.abs(per_band.mean(axis=(0, 2))).max() < 1e-5
     assert np.abs(per_band.std(axis=(0, 2)) - 1.0).max() < 1e-4
-    assert (pipe["imp"] / "normalizer.txt").exists()
+    # the written stats are the one-shot float64 formula's, bit for bit
+    stats = D.NormalizerStats.load(pipe["imp"] / "normalizer.txt")
+    means, stds = whole_cube_stats(raw)
+    assert stats.means == tuple(means) and stats.stds == tuple(stds)
 
 
 def test_import_deterministic(pipe, tmp_path):

@@ -126,6 +126,21 @@ def test_load_frames_errors(tmp_path):
         D.load_frames(neg)
 
 
+@pytest.mark.parametrize("stray", [1, 2, 3])
+def test_load_frames_refuses_trailing_partial_values(tmp_path, stray):
+    # 4x5x6 = 120 values = 480 bytes; 1-3 more bytes are no whole value,
+    # and a reader that drops them would load the file as if it were whole
+    man = write_frames(tmp_path, ["2019-01-01T00:00:00", "2019-01-01T01:00:00"])
+    f1 = tmp_path / "f1.bin"
+    f1.write_bytes(f1.read_bytes() + b"\x01" * stray)
+    with pytest.raises(D.DataError,
+                       match=f"f1.bin: has 120 values and {stray} stray bytes, expected 120"):
+        D.load_frames(man)
+    f1.write_bytes(f1.read_bytes()[:-4 - stray])
+    with pytest.raises(D.DataError, match="f1.bin: has 119 values, expected 120"):
+        D.load_frames(man)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
 @pytest.mark.parametrize("with_nan", [False, True])
 def test_load_frames_rejects_inf(tmp_path, bad, with_nan):
@@ -294,24 +309,28 @@ def check_fit(cube):
     return stats
 
 
-# pixels per fit_normalizer block: all 35, 4 (35 = 8 blocks + 3), 16
+# pixels per fit_normalizer block (each band is summed alone, so a block
+# of p pixels is p * t values): all 35, 4 (35 = 8 blocks + 3), 16
 # (35 = 2 blocks + 3) and 1
 BLOCK_PIXELS = [None, 4, 16, 1]
+
+
+def cap_block_pixels(monkeypatch, pixels, t):
+    if pixels is not None:
+        monkeypatch.setattr(D, "_CHUNK_VALUES", pixels * t)
 
 
 @pytest.mark.parametrize("pixels", BLOCK_PIXELS)
 @pytest.mark.parametrize("t", [1, 9, 70])
 def test_fit_normalizer_matches_two_pass_and_whole_cube(monkeypatch, t, pixels):
-    if pixels is not None:
-        monkeypatch.setattr(D, "_CHUNK_VALUES", pixels * t * 6)
+    cap_block_pixels(monkeypatch, pixels, t)
     check_fit(physical_cube(t, seed=t))
 
 
 @pytest.mark.parametrize("pixels", BLOCK_PIXELS)
 def test_fit_normalizer_constant_band_over_blocks(monkeypatch, pixels):
     t = 21
-    if pixels is not None:
-        monkeypatch.setattr(D, "_CHUNK_VALUES", pixels * t * 6)
+    cap_block_pixels(monkeypatch, pixels, t)
     cube = physical_cube(t)
     cube.frames[:, 4] = 123.5
     stats = check_fit(cube)
@@ -321,14 +340,58 @@ def test_fit_normalizer_constant_band_over_blocks(monkeypatch, pixels):
 @pytest.mark.parametrize("pixels", BLOCK_PIXELS)
 def test_fit_normalizer_excludes_masked_pixels(monkeypatch, pixels):
     t = 13
-    if pixels is not None:
-        monkeypatch.setattr(D, "_CHUNK_VALUES", pixels * t * 6)
+    cap_block_pixels(monkeypatch, pixels, t)
     mask = np.zeros((5, 7), bool)
     mask[0, :4] = mask[4, 6] = mask[2, 3] = True
     cube = physical_cube(t, mask=mask, seed=2)
     cube.frames[:, :, mask] = 1e9  # would dominate every statistic if counted
     stats = check_fit(cube)
     assert max(stats.stds) < 1e3
+
+
+def wide_cube(t, h=5, w=7, mask=None, seed=0):
+    """Positive values over eight decades. Even their plain float64 sums
+    round (a physical cube's are exact), so the mean pass, not only the
+    std pass, depends on the order of addition and pins it."""
+    rng = np.random.default_rng(seed)
+    frames = (10.0 ** rng.uniform(-4.0, 4.0, size=(t, 6, h, w))).astype(np.float32)
+    if mask is None:
+        mask = np.zeros((h, w), bool)
+    return D.WeatherCube(frames, hours("2019-01-01T00:00:00", t), D.BANDS, mask)
+
+
+def unmasked_runs(mask):
+    """Lengths of the runs of adjacent unmasked pixels, in flat order."""
+    runs, n = [], 0
+    for masked in mask.reshape(-1):
+        if masked and n:
+            runs.append(n)
+        n = 0 if masked else n + 1
+    return runs + [n] if n else runs
+
+
+@pytest.mark.parametrize("pixels", BLOCK_PIXELS)
+@pytest.mark.parametrize("t", [1, 7])
+def test_fit_normalizer_scattered_mask_chains_hundreds_of_runs(monkeypatch, t, pixels):
+    cap_block_pixels(monkeypatch, pixels, t)
+    mask = np.random.default_rng(17).random((30, 40)) < 0.45
+    assert len(unmasked_runs(mask)) > 250
+    cube = wide_cube(t, h=30, w=40, mask=mask, seed=t + 40)
+    cube.frames[:, :, mask] = 1e9
+    check_fit(cube)
+
+
+@pytest.mark.parametrize("pixels", [1, 2, 3, 4, 9, 10])
+@pytest.mark.parametrize("t", [1, 9])
+def test_fit_normalizer_cuts_runs_at_the_block_cap(monkeypatch, t, pixels):
+    # runs of 9, 3, 2, 1 and 15 pixels: a cap below a run's length cuts it
+    # mid-run (15 = 10 + 5, 9 = 4 + 4 + 1), one that divides it cuts it
+    # evenly (9 = 3 * 3), and 1 gives one-pixel blocks
+    mask = np.zeros((5, 7), bool)
+    mask.reshape(-1)[[9, 13, 16, 18, 34]] = True
+    assert unmasked_runs(mask) == [9, 3, 2, 1, 15]
+    cap_block_pixels(monkeypatch, pixels, t)
+    check_fit(wide_cube(t, mask=mask, seed=pixels))
 
 
 def test_fit_normalizer_needs_frames():
@@ -439,6 +502,22 @@ def test_cube_file_frames_are_the_raw_little_endian_bytes(tmp_path):
     p.write_bytes(whole + b"\0")
     with pytest.raises(D.DataError, match="trailing bytes"):
         D.load_cube(p)
+
+
+def test_save_cube_failure_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
+    p = tmp_path / "cube.wxc"
+    D.save_cube(small_cube(seed=1), p)
+    old = p.read_bytes()
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["cube.wxc"]
+
+    def fail(ts):  # the timestamps come after the header, bands and mask
+        raise RuntimeError("write interrupted")
+
+    monkeypatch.setattr(D, "format_timestamp", fail)
+    with pytest.raises(RuntimeError, match="write interrupted"):
+        D.save_cube(small_cube(seed=2), p)
+    assert p.read_bytes() == old
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["cube.wxc"]
 
 
 def test_cube_file_rejects_garbage(tmp_path):
