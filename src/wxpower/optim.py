@@ -3,8 +3,8 @@
 The loss is the root mean squared error pooled over both outputs of the
 batch, plus an L2 penalty on every parameter. The penalty's gradient
 (2*lambda*p) never enters the recorded graph: adam_step folds it into the
-same block-wise pass that updates the moments and the parameter, so a step
-allocates no parameter-sized temporary. add_l2_gradients is the unfused
+same block-wise pass that updates the moments and the parameter, so the
+update allocates no parameter-sized temporary. add_l2_gradients is the unfused
 reference for that term. Training runs a fixed number of epochs
 through exactly four learning-rate stages. The stage index alone sets the
 rate, and one rule ends a stage: every stage_length epochs, or with adaptive
@@ -326,8 +326,10 @@ def run_epoch(state: TrainState, model: Model, dataset, split,
 
     Trains at schedule.stage_lrs[state.stage] on batches shuffled by
     (config.seed, epoch), scores both splits in eval mode for the history
-    row, then applies the stage rule. Changes only `state` and the model:
-    no log, no file. Raises NumericError on the first non-finite loss.
+    row, then applies the stage rule. Each step's gradients are freed at
+    its update, so a step holds at most one gradient per parameter.
+    Changes only `state` and the model: no log, no file. Raises
+    NumericError on the first non-finite loss.
     """
     epoch, stage = len(state.history), state.stage
     lr = config.schedule.stage_lrs[stage]
@@ -342,8 +344,11 @@ def run_epoch(state: TrainState, model: Model, dataset, split,
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, first id {batch_ids[0]}")
             T.backward(tape, T.create([1], 1.0, dtype=loss.data.dtype))
-        grads = {k: p.grad for k, p in model.params.items() if p.grad is not None}
-        adam_step(state.adam, model.params, grads, lr, config.l2_lambda)
+        # no local names the gradients: clear_grads frees them before the
+        # next backward allocates its own
+        adam_step(state.adam, model.params,
+                  {k: p.grad for k, p in model.params.items() if p.grad is not None},
+                  lr, config.l2_lambda)
         T.clear_grads(model.params.values())
 
     tr = evaluate(model, dataset, split.train, split.stack, train_means, config.batch_size)

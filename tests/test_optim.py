@@ -206,6 +206,27 @@ def test_adam_step_peak_stays_a_few_blocks():
     assert peak < 4 * block_bytes, (peak, block_bytes)
 
 
+def test_run_epoch_holds_one_gradient_per_parameter():
+    # fc1 holds 99.9% of the parameters; a step that kept the last step's
+    # gradients alive through its backward would peak near 2x their bytes
+    ds = toy_problem(n=32, hw=32)
+    model = M.build_linear(2, Rng(1), input_hw=(32, 32), fc_widths=(256,),
+                           dropout_p=0.0)
+    split = SplitStub(train=list(range(24)), val=list(range(24, 32)), stack=1)
+    config = O.TrainConfig(batch_size=8, epochs=1, l2_lambda=0.01)
+    param_bytes = sum(p.data.nbytes for p in model.params.values())
+    state = fresh_state(model, ds, split, config)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        O.run_epoch(state, model, ds, split, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert state.adam.t == 3
+    assert peak < 1.5 * param_bytes, (peak, param_bytes)
+
+
 # ---------------------------------------------------------------------------
 # schedule
 
