@@ -247,17 +247,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_power_any(path) -> D.PowerSeries:
-    """Accept either power format: the raw 5-minute feed (timestamp,
-    source, mw), which gets aggregated to hourly means, or the canonical
-    hourly file."""
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-    if header == "timestamp,source,mw":
-        return D.aggregate_power(path)
-    return D.load_power(path)
-
-
 # ---------------------------------------------------------------------------
 # split
 
@@ -271,7 +260,7 @@ def _load_normalized_cube(path) -> D.WeatherCube:
 
 def _load_aligned(cube_path, power_path):
     cube = _load_normalized_cube(cube_path)
-    power = _load_power_any(power_path)
+    power = D.load_power(power_path)
     return D.align(cube, power)
 
 
@@ -509,7 +498,7 @@ def cmd_anomalies(args) -> int:
     which = r.get("source", "both")
     if min_len < 2:
         raise ConfigError(f"min_len must be >= 2, got {min_len}")
-    power = _load_power_any(r.require("power"))
+    power = D.load_power(r.require("power"))
     sources = ("solar", "wind") if which == "both" else (which,)
     total = 0
     for src in sources:

@@ -31,6 +31,9 @@ BANDS = ("pressure", "temperature", "humidity",
          "wind_speed", "wind_direction", "cloud_cover")
 WIND_DIRECTION_BAND = "wind_direction"
 SOURCES = ("solar", "wind")
+# the two power files: the 5-minute feed, and the hourly file of save_power
+_FEED_HEADER = ("timestamp", "source", "mw")
+_HOURLY_HEADER = ("timestamp", "solar_mw", "wind_mw", "flags")
 
 CUBE_MAGIC = b"WXC1"
 CUBE_VERSION = 1
@@ -57,6 +60,10 @@ class DataError(ValueError):
 
 
 def parse_timestamp(text: str) -> np.datetime64:
+    # numpy reads "now" and "today", in any case, as the wall clock: the
+    # same input files would then load differently from one day to the next
+    if text.strip().lower() in ("now", "today"):
+        raise DataError(f"bad timestamp {text!r}")
     try:
         ts = np.datetime64(text.strip(), "s")
     except ValueError as e:
@@ -68,6 +75,35 @@ def parse_timestamp(text: str) -> np.datetime64:
 
 def format_timestamp(ts: np.datetime64) -> str:
     return np.datetime_as_string(ts.astype("datetime64[s]"))
+
+
+def _header(reader) -> tuple[str, ...]:
+    """A CSV table's header cells, stripped; () for an empty table."""
+    return tuple(c.strip() for c in next(reader, ()))
+
+
+def _read_table(src, header: tuple[str, ...]):
+    """Yield (where, cells) for each row of a CSV table, where `where` is
+    "<file>:<line>", the prefix of every error about that row.
+
+    `src` is a path, or the CSV text itself (a str with a newline), named
+    "<text>". The header's cells must equal `header` once stripped. A row
+    whose cells are all blank is skipped; every other row must have one
+    cell per header cell.
+    """
+    text = isinstance(src, str) and "\n" in src
+    name = "<text>" if text else os.fspath(src)
+    with (io.StringIO(src) if text else open(src, newline="")) as fh:
+        reader = csv.reader(fh)
+        if _header(reader) != header:
+            raise DataError(f"{name}:1: header must be {','.join(header)}")
+        for row in reader:
+            if not any(map(str.strip, row)):
+                continue
+            where = f"{name}:{reader.line_num}"
+            if len(row) != len(header):
+                raise DataError(f"{where}: expected {len(header)} columns, got {len(row)}")
+            yield where, row
 
 
 # ---------------------------------------------------------------------------
@@ -142,24 +178,15 @@ def load_frames(manifest_path, frames_dir=None) -> WeatherCube:
     """
     base = frames_dir if frames_dir is not None else os.path.dirname(os.fspath(manifest_path))
     rows = []
-    with open(manifest_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["timestamp", "path", "height", "width", "channels"]:
-            raise DataError(f"{manifest_path}: manifest header must be timestamp,path,height,width,channels")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 5:
-                raise DataError(f"{manifest_path}:{lineno}: expected 5 columns, got {len(row)}")
+    for where, row in _read_table(manifest_path, ("timestamp", "path", "height", "width", "channels")):
+        try:
             ts = parse_timestamp(row[0])
-            try:
-                h, w, c = int(row[2]), int(row[3]), int(row[4])
-            except ValueError as e:
-                raise DataError(f"{manifest_path}:{lineno}: bad extents") from e
-            if min(h, w, c) < 1:
-                raise DataError(f"{manifest_path}:{lineno}: extents {h}x{w}x{c} must be positive")
-            rows.append((ts, row[1].strip(), h, w, c))
+            h, w, c = int(row[2]), int(row[3]), int(row[4])
+        except ValueError as e:
+            raise DataError(f"{where}: {e}") from e
+        if min(h, w, c) < 1:
+            raise DataError(f"{where}: extents {h}x{w}x{c} must be positive")
+        rows.append((ts, row[1].strip(), h, w, c))
     if not rows:
         raise DataError(f"{manifest_path}: no frames listed")
     rows.sort(key=lambda r: r[0])
@@ -262,26 +289,6 @@ class NormalizerStats:
         with open(path, "w") as fh:
             for b, m, s in zip(self.bands, self.means, self.stds):
                 fh.write(f"{b}={m!r},{s!r}\n")
-
-    @classmethod
-    def load(cls, path) -> "NormalizerStats":
-        bands, means, stds = [], [], []
-        with open(path) as fh:
-            for lineno, ln in enumerate(fh, 1):
-                ln = ln.strip()
-                if not ln:
-                    continue
-                try:
-                    band, rest = ln.split("=", 1)
-                    m, s = rest.split(",")
-                    means.append(float(m))
-                    stds.append(float(s))
-                    bands.append(band)
-                except ValueError as e:
-                    raise DataError(f"{path}:{lineno}: bad stats line {ln!r}") from e
-        if not bands:
-            raise DataError(f"{path}: empty stats file")
-        return cls(tuple(bands), tuple(means), tuple(stds))
 
 
 def fit_normalizer(cube: WeatherCube) -> NormalizerStats:
@@ -491,31 +498,21 @@ def aggregate_power(src) -> PowerSeries:
     "<source>_partial". Rows with unknown sources are ignored. `src` is a
     path, or the CSV text itself (a str with a newline).
     """
-    with (io.StringIO(src) if isinstance(src, str) and "\n" in src
-          else open(src, newline="")) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["timestamp", "source", "mw"]:
-            raise DataError("power CSV header must be timestamp,source,mw")
-        # keyed by whole hours since the epoch, floored (pre-1970 included)
-        readings: dict[str, dict[int, list[float]]] = {s: {} for s in SOURCES}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise DataError(f"power CSV line {lineno}: expected 3 columns")
-            name = row[1].strip()
-            if name not in SOURCES:
-                continue
-            ts = parse_timestamp(row[0])
-            try:
-                mw = float(row[2])
-            except ValueError as e:
-                raise DataError(f"power CSV line {lineno}: bad mw {row[2]!r}") from e
-            if not np.isfinite(mw):
-                raise DataError(f"power CSV line {lineno}: non-finite mw")
-            hour = int(ts.view(np.int64)) // 3600
-            readings[name].setdefault(hour, []).append(mw)
+    # keyed by whole hours since the epoch, floored (pre-1970 included)
+    readings: dict[str, dict[int, list[float]]] = {s: {} for s in SOURCES}
+    for where, (stamp, name, mw) in _read_table(src, _FEED_HEADER):
+        name = name.strip()
+        if name not in SOURCES:
+            continue
+        try:
+            ts = parse_timestamp(stamp)
+            mw = float(mw)
+        except ValueError as e:
+            raise DataError(f"{where}: {e}") from e
+        if not np.isfinite(mw):
+            raise DataError(f"{where}: non-finite mw")
+        hour = int(ts.view(np.int64)) // 3600
+        readings[name].setdefault(hour, []).append(mw)
 
     all_hours = [h for per in readings.values() for h in per]
     if not all_hours:
@@ -579,33 +576,30 @@ def detect_constant_runs(power: PowerSeries, source: str,
 def save_power(power: PowerSeries, path) -> None:
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["timestamp", "solar_mw", "wind_mw", "flags"])
+        wr.writerow(_HOURLY_HEADER)
         for i, ts in enumerate(power.timestamps):
             wr.writerow([format_timestamp(ts), repr(float(power.solar[i])),
                          repr(float(power.wind[i])), ";".join(sorted(power.flags[i]))])
 
 
 def load_power(path) -> PowerSeries:
-    stamps, solar, wind, flags = [], [], [], []
+    """Hourly power from either power file, told apart by its header: the
+    5-minute feed, which goes through `aggregate_power`, or the hourly
+    file that `save_power` writes."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["timestamp", "solar_mw", "wind_mw", "flags"]:
-            raise DataError(f"{path}: bad hourly power header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 columns")
+        if _header(csv.reader(fh)) == _FEED_HEADER:
+            return aggregate_power(path)
+    stamps, solar, wind, flags = [], [], [], []
+    for where, row in _read_table(path, _HOURLY_HEADER):
+        try:
             stamps.append(parse_timestamp(row[0]))
-            try:
-                solar.append(float(row[1]))
-                wind.append(float(row[2]))
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: bad value") from e
-            if not (np.isfinite(solar[-1]) and np.isfinite(wind[-1])):
-                raise DataError(f"{path}:{lineno}: non-finite mw")
-            flags.append(set(f for f in row[3].split(";") if f))
+            solar.append(float(row[1]))
+            wind.append(float(row[2]))
+        except ValueError as e:
+            raise DataError(f"{where}: {e}") from e
+        if not (np.isfinite(solar[-1]) and np.isfinite(wind[-1])):
+            raise DataError(f"{where}: non-finite mw")
+        flags.append(set(f for f in row[3].split(";") if f))
     if not stamps:
         raise DataError(f"{path}: empty power file")
     return PowerSeries(np.array(stamps, dtype="datetime64[s]"),
@@ -650,14 +644,11 @@ class AlignedDataset:
         # both stamp arrays are validated strictly increasing, so unique
         _, self.cube_idx, self.power_idx = np.intersect1d(
             cube.timestamps, power.timestamps, assume_unique=True, return_indices=True)
-        n = len(self.cube_idx)
-        if not n:
+        if not len(self.cube_idx):
             raise DataError("cube and power series share no timestamps")
         self.cube = cube
         self.power = power
         self.timestamps = cube.timestamps[self.cube_idx]
-        self.dropped_cube = cube.shape[0] - n
-        self.dropped_power = len(power.timestamps) - n
 
     def __len__(self) -> int:
         return len(self.cube_idx)
@@ -961,7 +952,7 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
 
     buf = io.StringIO()
     wr = csv.writer(buf)
-    wr.writerow(["timestamp", "source", "mw"])
+    wr.writerow(_FEED_HEADER)
     minute = np.timedelta64(5, "m")
     for i, ts in enumerate(stamps):
         for k in range(12):

@@ -99,20 +99,13 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
-def create(shape: Sequence[int], fill: float | Sequence[float] = 0.0,
+def create(shape: Sequence[int], fill: float = 0.0,
            dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    """New tensor of `shape`, filled with a scalar or a flat value sequence."""
+    """New tensor of `shape` with every value `fill`."""
     shape = tuple(int(s) for s in shape)
     if len(shape) == 0 or any(s <= 0 for s in shape):
         raise ShapeError(f"invalid shape {shape}")
-    if np.isscalar(fill):
-        data = np.full(shape, float(fill), dtype=dtype)
-    else:
-        flat = np.asarray(fill, dtype=dtype).reshape(-1)
-        if flat.size != int(np.prod(shape)):
-            raise ShapeError(f"fill has {flat.size} values, shape {shape} needs {int(np.prod(shape))}")
-        data = flat.reshape(shape).copy()
-    return Tensor(data, requires_grad)
+    return Tensor(np.full(shape, float(fill), dtype=dtype), requires_grad)
 
 
 def from_array(array, dtype=np.float32, requires_grad: bool = False) -> Tensor:

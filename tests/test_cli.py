@@ -80,7 +80,7 @@ def test_synth_bad_plants_is_config_error(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "s").exists()
 
 
-def test_import_normalizes_and_remasks(pipe):
+def test_import_normalizes_and_remasks(pipe, tmp_path):
     cube = D.load_cube(pipe["cube"])
     assert cube.normalized
     raw = D.load_frames(pipe["synth"] / "manifest.csv")
@@ -90,10 +90,13 @@ def test_import_normalizes_and_remasks(pipe):
     per_band = cube.frames[:, :, keep].astype(np.float64)
     assert np.abs(per_band.mean(axis=(0, 2))).max() < 1e-5
     assert np.abs(per_band.std(axis=(0, 2)) - 1.0).max() < 1e-4
-    # the written stats are the one-shot float64 formula's, bit for bit
-    stats = D.NormalizerStats.load(pipe["imp"] / "normalizer.txt")
+    # the written stats are the one-shot float64 formula's, bit for bit;
+    # float() first, or the file would read np.float64(...)
     means, stds = whole_cube_stats(raw)
-    assert stats.means == tuple(means) and stats.stds == tuple(stds)
+    want = tmp_path / "normalizer.txt"
+    D.NormalizerStats(raw.bands, tuple(float(m) for m in means),
+                      tuple(float(s) for s in stds)).save(want)
+    assert (pipe["imp"] / "normalizer.txt").read_bytes() == want.read_bytes()
 
 
 def test_import_deterministic(pipe, tmp_path):
@@ -117,6 +120,20 @@ def test_import_rejects_an_inf_frame_and_writes_no_cube(pipe, tmp_path):
     assert not (out / "cube.wxc").exists()
 
 
+def test_import_refuses_a_manifest_row_stamped_now(pipe, tmp_path, capsys):
+    # numpy would read "now" as the wall clock, and the cube would change daily
+    lines = (pipe["synth"] / "manifest.csv").read_text().splitlines(keepends=True)
+    lines[3] = "now" + lines[3][lines[3].index(","):]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("".join(lines))
+    out = tmp_path / "imp"
+    capsys.readouterr()
+    assert run("import", "--manifest", manifest, "--frames-dir", pipe["synth"],
+               "--out", out) == cli.EXIT_DATA
+    assert f"{manifest}:4: bad timestamp 'now'" in capsys.readouterr().err
+    assert not (out / "cube.wxc").exists()
+
+
 def test_import_corner_radius_masks_before_normalizing(pipe, tmp_path):
     out = tmp_path / "cornered"
     assert run("import", "--manifest", pipe["synth"] / "manifest.csv",
@@ -128,7 +145,8 @@ def test_import_corner_radius_masks_before_normalizing(pipe, tmp_path):
     frames[:, :, mask] = 0.0
     want = D.WeatherCube(frames, raw.timestamps, raw.bands, mask)
     stats = D.fit_normalizer(want)
-    assert D.NormalizerStats.load(out / "normalizer.txt") == stats
+    stats.save(tmp_path / "want.txt")
+    assert (out / "normalizer.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
     got = D.load_cube(out / "cube.wxc")
     assert (got.mask == mask).all()
     assert got.frames.tobytes() == D.apply_normalizer(want, stats).frames.tobytes()
@@ -163,6 +181,45 @@ def test_split_counts_kept_flagged_hours(pipe, tmp_path, capsys):
     assert run("split", "--cube", pipe["cube"], "--power", gapped,
                "--exclude-anomalies", "--out", tmp_path / "clean.txt") == 0
     assert "0 of the 119 kept hours" in capsys.readouterr().out
+
+
+def test_split_and_anomalies_read_a_padded_feed_header(pipe, tmp_path, capsys):
+    lines = pipe["power"].read_text().splitlines(keepends=True)
+    assert lines[0] == "timestamp,source,mw\n"
+    padded = tmp_path / "padded.csv"
+    padded.write_text("timestamp, source, mw\n" + "".join(lines[1:]))
+    splits = tmp_path / "splits.txt"
+    assert run("split", "--cube", pipe["cube"], "--power", padded, "--stack", 1,
+               "--seed", 3, "--out", splits) == 0
+    assert splits.read_bytes() == pipe["splits"].read_bytes()
+    capsys.readouterr()
+    assert run("anomalies", "--power", padded) == 0
+    assert "no constant runs found" in capsys.readouterr().out
+
+
+def test_feed_and_its_hourly_file_give_the_same_bytes(pipe, tmp_path):
+    hourly = tmp_path / "hourly.csv"
+    D.save_power(D.aggregate_power(pipe["power"]), hourly)
+    splits = tmp_path / "splits.txt"
+    assert run("split", "--cube", pipe["cube"], "--power", hourly, "--stack", 1,
+               "--seed", 3, "--out", splits) == 0
+    assert splits.read_bytes() == pipe["splits"].read_bytes()
+    d = tmp_path / "run"
+    assert run("train", "--cube", pipe["cube"], "--power", hourly,
+               "--splits", splits, "--model", "linear", "--stage-length", 1,
+               "--epochs", 4, "--seed", 11, "--out", d) == 0
+    names = ["history.csv", *sorted(p.name for p in pipe["train"].glob("*.wxpm"))]
+    assert len(names) == 6
+    for name in names:
+        assert (d / name).read_bytes() == (pipe["train"] / name).read_bytes(), name
+    reports = []
+    for power in (pipe["power"], hourly):
+        out = tmp_path / f"eval-{power.stem}"
+        assert run("eval", "--checkpoint", pipe["train"] / "final.wxpm",
+                   "--cube", pipe["cube"], "--power", power,
+                   "--splits", splits, "--out", out) == 0
+        reports.append([(out / n).read_bytes() for n in ("report.csv", "report.txt")])
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("bad_id", [999, -3, 1])

@@ -27,16 +27,6 @@ def test_create_scalar_fill():
     npt.assert_array_equal(x.data, np.full((2, 3), 1.5, np.float32))
 
 
-def test_create_sequence_fill():
-    x = T.create([3], [1, 2, 3])
-    npt.assert_array_equal(x.data, np.array([1, 2, 3], np.float32))
-
-
-def test_create_rejects_bad_fill_length():
-    with pytest.raises(T.ShapeError):
-        T.create([2, 2], [1, 2, 3])
-
-
 def test_create_rejects_empty_shape():
     with pytest.raises(T.ShapeError):
         T.create([], 0.0)
