@@ -9,6 +9,7 @@ numeric failure.
 
 import argparse
 import csv
+import functools
 import hashlib
 import os
 import sys
@@ -81,34 +82,19 @@ def _cast(key: str, text: str):
         return rule(text)
     value = type(rule[0])(text)
     if value not in rule:
-        raise ConfigError(f"{key} must be one of {rule}, got {text!r}")
+        raise ConfigError(f"must be one of {rule}, got {text!r}")
     return value
 
 
 def parse_config(path) -> dict:
-    out = {}
+    casters = {key: functools.partial(_cast, key) for key in SETTINGS}
     try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, _, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                if key not in SETTINGS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    out[key] = _cast(key, val)
-                except ConfigError as e:
-                    raise ConfigError(f"{path}:{lineno}: {e}") from None
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}:{lineno}: bad value for {key}: {val!r}") from None
+        with open(path, encoding="utf-8") as fh:
+            return D.read_keys(fh, path, casters)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    return out
+    except D.DataError as e:
+        raise ConfigError(str(e)) from None
 
 
 class Resolver:
@@ -136,18 +122,16 @@ class Resolver:
 
 def _write_run_files(out_dir, used: dict, input_paths) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    lines = []
-    for k in sorted(used):
-        v = used[k]
-        if v is None:
-            continue
+    pairs = []
+    for k, v in sorted(used.items()):
         if isinstance(v, bool):
             v = int(v)
         elif isinstance(v, tuple):
-            v = ",".join(f"{x:.9g}" for x in v)
-        lines.append(f"{k}={v}")
+            v = tuple(f"{x:.9g}" for x in v)
+        if v is not None:
+            pairs.append((k, v))
     with open(os.path.join(out_dir, "config.resolved"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(D.keys_text(pairs))
     hashes = []
     for p in input_paths:
         digest = hashlib.sha256()

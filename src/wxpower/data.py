@@ -20,7 +20,8 @@ import csv
 import io
 import os
 import struct
-from dataclasses import dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -93,8 +94,8 @@ def _read_table(src, header: tuple[str, ...]):
     """
     text = isinstance(src, str) and "\n" in src
     name = "<text>" if text else os.fspath(src)
-    with (io.StringIO(src) if text else open(src, newline="")) as fh:
-        reader = csv.reader(fh)
+    with (io.StringIO(src) if text else open(src, encoding="utf-8", newline="")) as fh:
+        reader = csv.reader(_utf8_lines(fh, name))
         if _header(reader) != header:
             raise DataError(f"{name}:1: header must be {','.join(header)}")
         for row in reader:
@@ -104,6 +105,72 @@ def _read_table(src, header: tuple[str, ...]):
             if len(row) != len(header):
                 raise DataError(f"{where}: expected {len(header)} columns, got {len(row)}")
             yield where, row
+
+
+def _utf8_lines(lines, name):
+    """Yield the lines of a text file; a byte that is not UTF-8 is a
+    DataError that names the file."""
+    try:
+        yield from lines
+    except UnicodeDecodeError:
+        raise DataError(f"{name}: not UTF-8 text") from None
+
+
+# ---------------------------------------------------------------------------
+# key=value files: config files, config.resolved, split files, the
+# architecture text of a checkpoint
+
+def read_keys(lines, name, casters: dict) -> dict:
+    """The {key: value} of key=value lines, in the order they come.
+
+    Blank lines and lines starting with '#' are skipped; the key and the
+    value are stripped of spaces. `casters` maps every allowed key to the
+    function that turns its text into its value. A line without '=', a key
+    `casters` does not name, a key given twice, or a value whose caster
+    raises ValueError is a DataError prefixed "<name>:<line>:".
+    """
+    out = {}
+    for lineno, line in enumerate(_utf8_lines(lines, name), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, text = line.partition("=")
+        key, text = key.strip(), text.strip()
+        where = f"{name}:{lineno}"
+        if not eq:
+            raise DataError(f"{where}: expected key=value")
+        if key not in casters:
+            raise DataError(f"{where}: unknown key {key!r}")
+        if key in out:
+            raise DataError(f"{where}: repeated key {key!r}")
+        try:
+            out[key] = casters[key](text)
+        except ValueError as e:
+            raise DataError(f"{where}: bad {key}: {e}") from None
+    return out
+
+
+def keys_text(pairs) -> str:
+    """The text that `read_keys` reads back: one key=value line per
+    (key, value) pair, in order; a tuple value is written comma-separated."""
+    lines = []
+    for key, value in pairs:
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key}={value}\n")
+    return "".join(lines)
+
+
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v)
+
+
+def field_casters(cls) -> dict:
+    """`read_keys` casters for the fields of dataclass `cls`, from their
+    annotations' text: "str", "int", "float", or a tuple of ints."""
+    scalars = {"str": str, "int": int, "float": float}
+    return {f.name: _int_tuple if f.type.startswith("tuple") else scalars[f.type]
+            for f in fields(cls)}
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +354,8 @@ class NormalizerStats:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            for b, m, s in zip(self.bands, self.means, self.stds):
-                fh.write(f"{b}={m!r},{s!r}\n")
+            fh.write(keys_text((b, (m, s)) for b, m, s in
+                               zip(self.bands, self.means, self.stds)))
 
 
 def fit_normalizer(cube: WeatherCube) -> NormalizerStats:
@@ -379,8 +446,10 @@ def apply_normalizer(cube: WeatherCube, stats: NormalizerStats) -> WeatherCube:
 # ---------------------------------------------------------------------------
 # cube container file
 
-def save_cube(cube: WeatherCube, path) -> None:
-    """Write `cube` to `path` through `<path>.tmp` and a rename.
+@contextmanager
+def replace_file(path):
+    """Open `<path>.tmp` for writing bytes, and put it at `path` once the
+    `with` block ends without an error.
 
     The bytes never go into an earlier file at `path`, so a write that
     fails or is interrupted leaves that file whole (and a process that
@@ -393,23 +462,21 @@ def save_cube(cube: WeatherCube, path) -> None:
     """
     tmp = os.fspath(path) + ".tmp"
     try:
-        _write_cube(cube, tmp)
-        try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        with suppress(FileNotFoundError):
             os.remove(path)
-        except FileNotFoundError:
-            pass
     except BaseException:
-        try:
+        with suppress(FileNotFoundError):
             os.remove(tmp)
-        except FileNotFoundError:
-            pass
         raise
     os.rename(tmp, path)  # the earlier file is gone: keep the temp one if this fails
 
 
-def _write_cube(cube: WeatherCube, path) -> None:
+def save_cube(cube: WeatherCube, path) -> None:
+    """Write `cube` to `path` through `replace_file`."""
     t, c, h, w = cube.shape
-    with open(path, "wb") as fh:
+    with replace_file(path) as fh:
         fh.write(CUBE_MAGIC)
         flags = _FLAG_NORMALIZED if cube.normalized else 0
         fh.write(struct.pack("<6I", CUBE_VERSION, flags, t, c, h, w))
@@ -432,6 +499,15 @@ def _need(fh, n: int, path) -> bytes:
     return b
 
 
+def _need_text(fh, path) -> str:
+    """A length-prefixed UTF-8 band name or timestamp of a cube file."""
+    (n,) = struct.unpack("<I", _need(fh, 4, path))
+    try:
+        return _need(fh, n, path).decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: a band name or timestamp is not UTF-8") from None
+
+
 def load_cube(path) -> WeatherCube:
     with open(path, "rb") as fh:
         if _need(fh, 4, path) != CUBE_MAGIC:
@@ -439,18 +515,12 @@ def load_cube(path) -> WeatherCube:
         version, flags, t, c, h, w = struct.unpack("<6I", _need(fh, 24, path))
         if version != CUBE_VERSION:
             raise DataError(f"{path}: unsupported cube version {version}")
-        bands = []
-        for _ in range(c):
-            (ln,) = struct.unpack("<I", _need(fh, 4, path))
-            bands.append(_need(fh, ln, path).decode("utf-8"))
+        bands = [_need_text(fh, path) for _ in range(c)]
         nbits = h * w
         mask_bytes = _need(fh, (nbits + 7) // 8, path)
         mask = np.unpackbits(np.frombuffer(mask_bytes, dtype=np.uint8))[:nbits]
         mask = mask.astype(bool).reshape(h, w)
-        stamps = []
-        for _ in range(t):
-            (ln,) = struct.unpack("<I", _need(fh, 4, path))
-            stamps.append(parse_timestamp(_need(fh, ln, path).decode("utf-8")))
+        stamps = [parse_timestamp(_need_text(fh, path)) for _ in range(t)]
         frames = np.fromfile(fh, dtype="<f4", count=t * c * h * w)
         if frames.size != t * c * h * w:
             raise DataError(f"{path}: truncated cube file")
@@ -586,8 +656,8 @@ def load_power(path) -> PowerSeries:
     """Hourly power from either power file, told apart by its header: the
     5-minute feed, which goes through `aggregate_power`, or the hourly
     file that `save_power` writes."""
-    with open(path, newline="") as fh:
-        if _header(csv.reader(fh)) == _FEED_HEADER:
+    with open(path, encoding="utf-8", newline="") as fh:
+        if _header(csv.reader(_utf8_lines(fh, path))) == _FEED_HEADER:
             return aggregate_power(path)
     stamps, solar, wind, flags = [], [], [], []
     for where, row in _read_table(path, _HOURLY_HEADER):
@@ -712,31 +782,17 @@ class SplitIndices:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(f"seed={self.seed}\n")
-            fh.write(f"stack={self.stack}\n")
-            for name in ("train", "val", "test"):
-                ids = getattr(self, name)
-                fh.write(f"{name}={','.join(str(i) for i in ids)}\n")
+            fh.write(keys_text((k, getattr(self, k))
+                               for k in ("seed", "stack", "train", "val", "test")))
 
     @classmethod
     def load(cls, path) -> "SplitIndices":
-        kv = {}
-        with open(path) as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if not ln:
-                    continue
-                if "=" not in ln:
-                    raise DataError(f"{path}: bad split line {ln!r}")
-                k, v = ln.split("=", 1)
-                kv[k] = v
-        try:
-            parts = {name: tuple(int(x) for x in kv[name].split(",") if x)
-                     for name in ("train", "val", "test")}
-            out = cls(parts["train"], parts["val"], parts["test"],
-                      int(kv["seed"]), int(kv["stack"]))
-        except (KeyError, ValueError) as e:
-            raise DataError(f"{path}: malformed split file") from e
+        with open(path, encoding="utf-8") as fh:
+            kv = read_keys(fh, path, field_casters(cls))
+        missing = [f.name for f in fields(cls) if f.name not in kv]
+        if missing:
+            raise DataError(f"{path}: split file lacks {', '.join(missing)}")
+        out = cls(**kv)
         _check_stack(out.stack)
         all_ids = out.train + out.val + out.test
         if len(set(all_ids)) != len(all_ids):

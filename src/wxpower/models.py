@@ -49,6 +49,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import data as D
 from . import tensor as T
 from .layers import (BatchNorm2d, LinearLayer, Rng, batchnorm2d_forward, dropout,
                      fold_batchnorm, kaiming_init)
@@ -57,8 +58,6 @@ CHECKPOINT_MAGIC = b"WXPM"
 CHECKPOINT_VERSION = 1
 
 FAMILIES = ("linear", "resnet")
-
-_SCALARS = {"str": str, "int": int, "float": float}
 
 
 @dataclass(frozen=True)
@@ -104,37 +103,16 @@ class ArchitectureSpec:
                 raise ValueError("stem_width and head_hidden must be positive")
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
+        return D.keys_text((f.name, getattr(self, f.name)) for f in fields(self))
 
     @classmethod
     def from_text(cls, text: str) -> "ArchitectureSpec":
-        kv = {}
-        for ln in text.strip().splitlines():
-            if not ln.strip():
-                continue
-            if "=" not in ln:
-                raise ValueError(f"bad architecture line {ln!r}")
-            k, v = ln.split("=", 1)
-            kv[k.strip()] = v.strip()
-        known = {f.name: f for f in fields(cls)}
-        unknown = set(kv) - set(known)
-        if unknown:
-            raise ValueError(f"unknown architecture keys {sorted(unknown)}")
-        args = {}
-        for name, f in known.items():
-            if name in kv:  # f.type is the annotation's text
-                raw = kv[name]
-                args[name] = (tuple(int(x) for x in raw.split(","))
-                              if f.type.startswith("tuple") else _SCALARS[f.type](raw))
-        if "family" not in args or "input_channels" not in args:
+        """The spec that `to_text` wrote; errors name the line as
+        "architecture:<line>"."""
+        kv = D.read_keys(text.splitlines(), "architecture", D.field_casters(cls))
+        if "family" not in kv or "input_channels" not in kv:
             raise ValueError("architecture text must carry family and input_channels")
-        return cls(**args)
+        return cls(**kv)
 
 
 @dataclass
@@ -352,13 +330,14 @@ def _write_block(fh, name: str, arr: np.ndarray) -> None:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Write architecture text plus every parameter and buffer as float32."""
+    """Write architecture text plus every parameter and buffer as float32,
+    through `data.replace_file`, so a failed write keeps the earlier file."""
     for name, p in {**model.params, **model.buffers}.items():
         if p.dtype != np.float32:
             raise ValueError(f"checkpoints are float32-only; {name} is {p.dtype}")
     spec_text = model.spec.to_text().encode("utf-8")
     records = list(model.params.items()) + list(model.buffers.items())
-    with open(path, "wb") as fh:
+    with D.replace_file(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(spec_text)))
@@ -375,7 +354,7 @@ class CheckpointError(ValueError):
 def _read_exact(fh, n: int) -> bytes:
     b = fh.read(n)
     if len(b) != n:
-        raise CheckpointError("truncated checkpoint")
+        raise CheckpointError(f"{fh.name}: truncated checkpoint")
     return b
 
 
@@ -413,7 +392,10 @@ def load_checkpoint(path) -> Model:
         seen = set()
         for _ in range(count):
             (nlen,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, nlen).decode("utf-8")
+            try:
+                name = _read_exact(fh, nlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: a tensor name is not UTF-8") from None
             (rank,) = struct.unpack("<I", _read_exact(fh, 4))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
             if name not in slots:
@@ -425,7 +407,7 @@ def load_checkpoint(path) -> Model:
                     f"{path}: {name} stored {tuple(shape)}, model wants {slots[name].shape}")
             slot = slots[name].data
             if fh.readinto(slot) != slot.nbytes:  # float32 straight into its slot
-                raise CheckpointError("truncated checkpoint")
+                raise CheckpointError(f"{path}: truncated checkpoint")
             if not np.little_endian:  # the file is little-endian
                 slot.byteswap(inplace=True)
             seen.add(name)

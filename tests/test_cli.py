@@ -1,6 +1,7 @@
 import os
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -551,6 +552,102 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("modle=linear\n")
     assert run("synth", "--config", cfg, "--out", tmp_path / "s") == cli.EXIT_CONFIG
+
+
+def test_repeated_key_refused_in_config_and_split_files(pipe, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# one seed only\nseed=1\n\nseed = 2\n")
+    capsys.readouterr()
+    assert run("synth", "--config", cfg, "--out", tmp_path / "s") == cli.EXIT_CONFIG
+    assert f"{cfg}:4: repeated key 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+    lines = pipe["splits"].read_text().splitlines(keepends=True)
+    assert lines[2].startswith("train=")
+    splits = tmp_path / "splits.txt"
+    splits.write_text("".join(lines) + lines[2])
+    out = tmp_path / "run"
+    assert run("train", "--cube", pipe["cube"], "--power", pipe["power"],
+               "--splits", splits, "--out", out) == cli.EXIT_DATA
+    assert f"{splits}:6: repeated key 'train'" in capsys.readouterr().err
+    assert not (out / "history.csv").exists()
+
+
+def test_a_hand_written_blocked_split_file_trains(pipe, tmp_path):
+    # the hold-out is the last eligible hours, val before test
+    ds = D.align(D.load_cube(pipe["cube"]), D.load_power(pipe["power"]))
+    eligible = ds.eligible_indices(1)
+    train, val, test = eligible[:-24], eligible[-24:-12], eligible[-12:]
+    splits = tmp_path / "blocked.txt"
+    splits.write_text(
+        "# blocked hold-out: the last 24 eligible hours\n"
+        "seed = 0\nstack = 1\n\n"
+        f"train = {','.join(map(str, train))}\n"
+        f"val = {','.join(map(str, val))}\n"
+        "# the very last hours\n"
+        f"test = {','.join(map(str, test))}\n")
+    assert D.SplitIndices.load(splits) == D.SplitIndices(
+        tuple(train), tuple(val), tuple(test), 0, 1)
+    out = tmp_path / "run"
+    assert run("train", "--cube", pipe["cube"], "--power", pipe["power"],
+               "--splits", splits, "--model", "linear", "--stage-length", 1,
+               "--epochs", 1, "--seed", 0, "--out", out) == 0
+    assert len((out / "history.csv").read_text().splitlines()) == 2
+
+
+def test_a_run_reruns_from_its_config_resolved(pipe, tmp_path):
+    out = tmp_path / "again"
+    assert run("train", "--config", pipe["train"] / "config.resolved",
+               "--out", out) == 0
+    for name in ("history.csv", "final.wxpm"):
+        assert (out / name).read_bytes() == (pipe["train"] / name).read_bytes(), name
+
+
+def _bad_byte(src, dst, offset):
+    data = bytearray(src.read_bytes())
+    data[offset] = 0xFF
+    dst.write_bytes(data)
+    return dst
+
+
+@pytest.mark.parametrize("case", ["split-power", "import-manifest", "train-splits",
+                                  "cube-band-name", "checkpoint-tensor-name"])
+def test_text_that_is_not_utf8_is_a_data_error_naming_its_file(pipe, tmp_path, capsys,
+                                                               case):
+    cube, power, ckpt = pipe["cube"], pipe["power"], pipe["train"] / "final.wxpm"
+    if case == "split-power":
+        bad = cube
+        argv = ["split", "--cube", cube, "--power", bad]
+    elif case == "import-manifest":
+        bad = sorted((pipe["synth"] / "frames").iterdir())[0]
+        argv = ["import", "--manifest", bad]
+    elif case == "train-splits":
+        bad = cube
+        argv = ["train", "--cube", cube, "--power", power, "--splits", bad]
+    elif case == "cube-band-name":
+        # after the magic, six header words and the first name's length
+        bad = _bad_byte(cube, tmp_path / "cube.wxc", 4 + 24 + 4)
+        argv = ["split", "--cube", bad, "--power", power]
+    else:
+        # after the magic, version, architecture text, count and name length
+        (spec_len,) = struct.unpack("<I", ckpt.read_bytes()[8:12])
+        bad = _bad_byte(ckpt, tmp_path / "final.wxpm", 12 + spec_len + 8)
+        argv = ["saliency", "--checkpoint", bad, "--cube", cube, "--index", 3]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and "not UTF-8" in err, err
+    assert not out.exists()
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=1\nhours=\xff\n")
+    capsys.readouterr()
+    assert run("synth", "--config", cfg, "--out", tmp_path / "s") == cli.EXIT_CONFIG
+    assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_missing_required_setting(tmp_path):

@@ -951,6 +951,48 @@ def test_split_file_roundtrip(tmp_path):
         D.SplitIndices.load(p)
 
 
+def test_split_file_refuses_unknown_missing_and_repeated_keys(tmp_path):
+    p = tmp_path / "split.txt"
+    good = "seed=0\nstack=1\ntrain=1,2\nval=3\ntest=4\n"
+    for text, want in [(good + "holdout=5\n", f"{p}:6: unknown key 'holdout'"),
+                       (good + "val=6\n", f"{p}:6: repeated key 'val'"),
+                       (good.replace("seed=0\n", ""), f"{p}: split file lacks seed"),
+                       (good.replace("seed=0", "seed=zero"), f"{p}:1: bad seed: ")]:
+        p.write_text(text)
+        with pytest.raises(D.DataError) as e:
+            D.SplitIndices.load(p)
+        assert str(e.value).startswith(want), str(e.value)
+
+
+# ---------------------------------------------------------------------------
+# key=value files
+
+def test_read_keys_skips_comments_and_strips_keys_and_values():
+    lines = ["# a note\n", "\n", "  a = 3 \n", "b=x=y\n", "   \n"]
+    got = D.read_keys(lines, "f", {"a": int, "b": str, "c": float})
+    assert got == {"a": 3, "b": "x=y"}
+
+
+@pytest.mark.parametrize("lines,want", [
+    (["a 3"], "f:1: expected key=value"),
+    (["# c=1", "c=1"], "f:2: unknown key 'c'"),
+    (["a=1", "", "a = 2"], "f:3: repeated key 'a'"),
+    (["b=x", "a=three"], "f:2: bad a: invalid literal"),
+])
+def test_read_keys_errors_name_the_line(lines, want):
+    with pytest.raises(D.DataError) as e:
+        D.read_keys(lines, "f", {"a": int, "b": str})
+    assert str(e.value).startswith(want), str(e.value)
+
+
+def test_keys_text_is_what_read_keys_reads_back():
+    text = D.keys_text([("a", 5), ("b", (1, 2, 3)), ("c", ())])
+    assert text == "a=5\nb=1,2,3\nc=\n"
+    casters = {"a": int, "b": str, "c": str}
+    assert D.read_keys(text.splitlines(), "f", casters) == {"a": 5, "b": "1,2,3", "c": ""}
+    assert D.keys_text([]) == ""
+
+
 # ---------------------------------------------------------------------------
 # batches
 

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -511,9 +512,46 @@ def test_checkpoint_rejects_truncation(tmp_path):
     p = tmp_path / "m.wxpm"
     M.save_checkpoint(model, p)
     whole = p.read_bytes()
-    p.write_bytes(whole[:len(whole) // 2])
-    with pytest.raises(M.CheckpointError):
+    # a cut inside the header, and one inside a tensor's values
+    for keep in (10, len(whole) // 2):
+        p.write_bytes(whole[:keep])
+        with pytest.raises(M.CheckpointError) as e:
+            M.load_checkpoint(p)
+        assert str(e.value) == f"{p}: truncated checkpoint"
+
+
+def test_save_checkpoint_failure_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
+    p = tmp_path / "final.wxpm"
+    M.save_checkpoint(M.build_model(tiny_linear_spec(), Rng(1)), p)
+    old = p.read_bytes()
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["final.wxpm"]
+    write_block, written = M._write_block, []
+
+    def fail_third(fh, name, arr):
+        written.append(name)
+        if len(written) == 3:
+            raise RuntimeError("write interrupted")
+        write_block(fh, name, arr)
+
+    monkeypatch.setattr(M, "_write_block", fail_third)
+    with pytest.raises(RuntimeError, match="write interrupted"):
+        M.save_checkpoint(M.build_model(tiny_linear_spec(), Rng(2)), p)
+    assert p.read_bytes() == old
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["final.wxpm"]
+
+
+def test_checkpoint_architecture_text_refuses_a_repeated_key(tmp_path):
+    p = tmp_path / "m.wxpm"
+    M.save_checkpoint(M.build_model(tiny_linear_spec(), Rng(9)), p)
+    whole = p.read_bytes()
+    (n,) = struct.unpack("<I", whole[8:12])
+    spec = whole[12:12 + n]
+    assert spec.count(b"\n") == 10
+    spec += b"dropout_p=0.5\n"
+    p.write_bytes(whole[:8] + struct.pack("<I", len(spec)) + spec + whole[12 + n:])
+    with pytest.raises(M.CheckpointError) as e:
         M.load_checkpoint(p)
+    assert str(e.value) == f"{p}: architecture:11: repeated key 'dropout_p'"
 
 
 def test_checkpoint_load_holds_the_model_once(tmp_path):
