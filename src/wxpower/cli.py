@@ -165,7 +165,6 @@ def cmd_import(args) -> int:
         print(f"coarsened x{factor} to {cube.shape[2]}x{cube.shape[3]} px")
     if radius > 0:
         mask = cube.mask | D.corner_mask(cube.shape[2], cube.shape[3], radius)
-        cube.frames[:, :, mask] = 0.0  # this command owns the cube
         cube = D.WeatherCube(cube.frames, cube.timestamps, cube.bands, mask)
         print(f"corner radius {radius}: {int(mask.sum())} px masked")
 
@@ -291,20 +290,18 @@ def _load_split(path, ds: D.AlignedDataset) -> D.SplitIndices:
 # ---------------------------------------------------------------------------
 # train
 
-def _charts_from_history(history_path, out_dir) -> None:
-    with open(history_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    epochs = [float(row["epoch"]) for row in rows]
+def _charts(history, out_dir) -> None:
+    epochs = [h.epoch for h in history]
     loss = P.line_chart(
-        [("train rmse", epochs, [float(row["train_rmse"]) for row in rows]),
-         ("val rmse", epochs, [float(row["val_rmse"]) for row in rows])],
+        [("train rmse", epochs, [h.train_rmse for h in history]),
+         ("val rmse", epochs, [h.val_rmse for h in history])],
         title="loss over epochs", x_label="epoch", y_label="rmse (MW)")
     P.save_chart(os.path.join(out_dir, "loss_curves.svg"), loss)
     acc = P.line_chart(
-        [("train solar", epochs, [float(row["train_solar_acc"]) for row in rows]),
-         ("train wind", epochs, [float(row["train_wind_acc"]) for row in rows]),
-         ("val solar", epochs, [float(row["val_solar_acc"]) for row in rows]),
-         ("val wind", epochs, [float(row["val_wind_acc"]) for row in rows])],
+        [("train solar", epochs, [h.train_solar_acc for h in history]),
+         ("train wind", epochs, [h.train_wind_acc for h in history]),
+         ("val solar", epochs, [h.val_solar_acc for h in history]),
+         ("val wind", epochs, [h.val_wind_acc for h in history])],
         title="accuracy over epochs", x_label="epoch", y_label="accuracy")
     P.save_chart(os.path.join(out_dir, "accuracy_curves.svg"), acc)
 
@@ -336,7 +333,7 @@ def cmd_train(args) -> int:
     # the config and input hashes go first, so a run that fails keeps them
     _write_run_files(out_dir, r.used, [cube_path, power_path, splits_path])
     run = O.train(model, ds, split, config, out_dir=out_dir, log=print)
-    _charts_from_history(os.path.join(out_dir, "history.csv"), out_dir)
+    _charts(run.history, out_dir)
     last = run.history[-1]
     print(f"final val rmse {last.val_rmse:.4f} MW, "
           f"solar acc {last.val_solar_acc:.4f}, "
@@ -562,7 +559,7 @@ def main(argv=None) -> int:
     except O.NumericError as e:
         print(f"error: numeric: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (D.DataError, M.CheckpointError) as e:
+    except D.DataError as e:
         print(f"error: data: {e}", file=sys.stderr)
         return EXIT_DATA
     except ConfigError as e:

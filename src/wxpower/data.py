@@ -278,13 +278,9 @@ def load_frames(manifest_path, frames_dir=None) -> WeatherCube:
                     stray = f" and {size % 4} stray bytes" if size % 4 else ""
                     raise DataError(f"{path}: has {size // 4} values{stray}, "
                                     f"expected {frame.size}")
-                got = fh.readinto(frame)  # float32 straight into its slot
+                read_f32_into(fh, frame)
         except OSError as e:
             raise DataError(f"cannot read frame file {path}: {e}") from e
-        if got != frame.nbytes:
-            raise DataError(f"{path}: read {got} of {frame.nbytes} bytes")
-        if not np.little_endian:  # the file is little-endian
-            frame.byteswap(inplace=True)
         finite = np.isfinite(frame)
         if not finite.all():
             if np.isinf(frame).any():
@@ -444,7 +440,9 @@ def apply_normalizer(cube: WeatherCube, stats: NormalizerStats) -> WeatherCube:
 
 
 # ---------------------------------------------------------------------------
-# cube container file
+# binary files, cube.wxc and .wxpm: written through replace_file, built from
+# u32 counts, UTF-8 text behind a u32 length and little-endian float32 arrays;
+# every error of their readers is a DataError that starts with the file's name
 
 @contextmanager
 def replace_file(path):
@@ -473,61 +471,84 @@ def replace_file(path):
     os.rename(tmp, path)  # the earlier file is gone: keep the temp one if this fails
 
 
-def save_cube(cube: WeatherCube, path) -> None:
-    """Write `cube` to `path` through `replace_file`."""
-    t, c, h, w = cube.shape
-    with replace_file(path) as fh:
-        fh.write(CUBE_MAGIC)
-        flags = _FLAG_NORMALIZED if cube.normalized else 0
-        fh.write(struct.pack("<6I", CUBE_VERSION, flags, t, c, h, w))
-        for b in cube.bands:
-            eb = b.encode("utf-8")
-            fh.write(struct.pack("<I", len(eb)))
-            fh.write(eb)
-        fh.write(np.packbits(cube.mask.reshape(-1)).tobytes())
-        for ts in cube.timestamps:
-            et = format_timestamp(ts).encode("utf-8")
-            fh.write(struct.pack("<I", len(et)))
-            fh.write(et)
-        fh.write(np.ascontiguousarray(cube.frames, dtype="<f4").data)
+def write_u32(fh, *values: int) -> None:
+    fh.write(struct.pack(f"<{len(values)}I", *values))
 
 
-def _need(fh, n: int, path) -> bytes:
+def write_text(fh, text: str) -> None:
+    b = text.encode("utf-8")
+    write_u32(fh, len(b))
+    fh.write(b)
+
+
+def write_f32(fh, arr: np.ndarray) -> None:
+    fh.write(np.ascontiguousarray(arr, dtype="<f4").data)
+
+
+def read_exact(fh, n: int) -> bytes:
     b = fh.read(n)
     if len(b) != n:
-        raise DataError(f"{path}: truncated cube file")
+        raise DataError(f"{fh.name}: truncated file")
     return b
 
 
-def _need_text(fh, path) -> str:
-    """A length-prefixed UTF-8 band name or timestamp of a cube file."""
-    (n,) = struct.unpack("<I", _need(fh, 4, path))
+def read_u32(fh, count: int = 1) -> tuple[int, ...]:
+    return struct.unpack(f"<{count}I", read_exact(fh, 4 * count))
+
+
+def read_text(fh, what: str) -> str:
+    """The next length-prefixed UTF-8 text; `what` names it in the error."""
+    (n,) = read_u32(fh)
     try:
-        return _need(fh, n, path).decode("utf-8")
+        return read_exact(fh, n).decode("utf-8")
     except UnicodeDecodeError:
-        raise DataError(f"{path}: a band name or timestamp is not UTF-8") from None
+        raise DataError(f"{fh.name}: {what} is not UTF-8") from None
+
+
+def read_f32_into(fh, out: np.ndarray) -> None:
+    """Read the next out.size little-endian float32 values straight into `out`."""
+    if fh.readinto(out) != out.nbytes:
+        raise DataError(f"{fh.name}: truncated file")
+    if not np.little_endian:
+        out.byteswap(inplace=True)
+
+
+def save_cube(cube: WeatherCube, path) -> None:
+    """Write `cube` to `path` through `replace_file`."""
+    with replace_file(path) as fh:
+        fh.write(CUBE_MAGIC)
+        flags = _FLAG_NORMALIZED if cube.normalized else 0
+        write_u32(fh, CUBE_VERSION, flags, *cube.shape)
+        for b in cube.bands:
+            write_text(fh, b)
+        fh.write(np.packbits(cube.mask.reshape(-1)).tobytes())
+        for ts in cube.timestamps:
+            write_text(fh, format_timestamp(ts))
+        write_f32(fh, cube.frames)
 
 
 def load_cube(path) -> WeatherCube:
     with open(path, "rb") as fh:
-        if _need(fh, 4, path) != CUBE_MAGIC:
+        if read_exact(fh, 4) != CUBE_MAGIC:
             raise DataError(f"{path}: not a cube file")
-        version, flags, t, c, h, w = struct.unpack("<6I", _need(fh, 24, path))
+        version, flags, t, c, h, w = read_u32(fh, 6)
         if version != CUBE_VERSION:
             raise DataError(f"{path}: unsupported cube version {version}")
-        bands = [_need_text(fh, path) for _ in range(c)]
+        bands = [read_text(fh, "a band name") for _ in range(c)]
         nbits = h * w
-        mask_bytes = _need(fh, (nbits + 7) // 8, path)
+        mask_bytes = read_exact(fh, (nbits + 7) // 8)
         mask = np.unpackbits(np.frombuffer(mask_bytes, dtype=np.uint8))[:nbits]
         mask = mask.astype(bool).reshape(h, w)
-        stamps = [parse_timestamp(_need_text(fh, path)) for _ in range(t)]
-        frames = np.fromfile(fh, dtype="<f4", count=t * c * h * w)
-        if frames.size != t * c * h * w:
-            raise DataError(f"{path}: truncated cube file")
+        stamps = [read_text(fh, "a timestamp") for _ in range(t)]
+        frames = np.empty((t, c, h, w), dtype=np.float32)
+        read_f32_into(fh, frames)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes")
-    return WeatherCube(frames.reshape(t, c, h, w), stamps, bands, mask,
-                       normalized=bool(flags & _FLAG_NORMALIZED))
+    try:
+        return WeatherCube(frames, [parse_timestamp(s) for s in stamps], bands, mask,
+                           normalized=bool(flags & _FLAG_NORMALIZED))
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -760,9 +781,10 @@ class AlignedDataset:
         return T.Tensor(xs), T.Tensor(ys)
 
 
-def _check_stack(stack: int) -> None:
+def _check_stack(stack: int) -> int:
     if stack not in STACK_CHOICES:
         raise DataError(f"stack must be one of {STACK_CHOICES}, got {stack}")
+    return stack
 
 
 def align(cube: WeatherCube, power: PowerSeries) -> AlignedDataset:
@@ -787,13 +809,13 @@ class SplitIndices:
 
     @classmethod
     def load(cls, path) -> "SplitIndices":
+        casters = {**field_casters(cls), "stack": lambda text: _check_stack(int(text))}
         with open(path, encoding="utf-8") as fh:
-            kv = read_keys(fh, path, field_casters(cls))
+            kv = read_keys(fh, path, casters)
         missing = [f.name for f in fields(cls) if f.name not in kv]
         if missing:
             raise DataError(f"{path}: split file lacks {', '.join(missing)}")
         out = cls(**kv)
-        _check_stack(out.stack)
         all_ids = out.train + out.val + out.test
         if len(set(all_ids)) != len(all_ids):
             raise DataError(f"{path}: split groups overlap")

@@ -44,7 +44,6 @@ weights) is reproducible bit for bit.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -320,42 +319,22 @@ def _forward_resnet(model: Model, x: T.Tensor) -> T.Tensor:
 # ---------------------------------------------------------------------------
 # checkpoint files
 
-def _write_block(fh, name: str, arr: np.ndarray) -> None:
-    nb = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(nb)))
-    fh.write(nb)
-    fh.write(struct.pack("<I", arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").data)
-
-
 def save_checkpoint(model: Model, path) -> None:
     """Write architecture text plus every parameter and buffer as float32,
     through `data.replace_file`, so a failed write keeps the earlier file."""
-    for name, p in {**model.params, **model.buffers}.items():
+    records = {**model.params, **model.buffers}
+    for name, p in records.items():
         if p.dtype != np.float32:
             raise ValueError(f"checkpoints are float32-only; {name} is {p.dtype}")
-    spec_text = model.spec.to_text().encode("utf-8")
-    records = list(model.params.items()) + list(model.buffers.items())
     with D.replace_file(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(spec_text)))
-        fh.write(spec_text)
-        fh.write(struct.pack("<I", len(records)))
-        for name, p in records:
-            _write_block(fh, name, p.data)
-
-
-class CheckpointError(ValueError):
-    """Malformed or mismatched checkpoint file."""
-
-
-def _read_exact(fh, n: int) -> bytes:
-    b = fh.read(n)
-    if len(b) != n:
-        raise CheckpointError(f"{fh.name}: truncated checkpoint")
-    return b
+        D.write_u32(fh, CHECKPOINT_VERSION)
+        D.write_text(fh, model.spec.to_text())
+        D.write_u32(fh, len(records))
+        for name, p in records.items():
+            D.write_text(fh, name)
+            D.write_u32(fh, p.data.ndim, *p.data.shape)
+            D.write_f32(fh, p.data)
 
 
 class _NoDraws:
@@ -376,44 +355,34 @@ def load_checkpoint(path) -> Model:
     The skeleton's weights start uninitialized (no random init is drawn);
     the missing-tensor check guarantees that every one is overwritten."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        if D.read_exact(fh, 4) != CHECKPOINT_MAGIC:
+            raise D.DataError(f"{path}: bad magic")
+        (version,) = D.read_u32(fh)
         if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        (spec_len,) = struct.unpack("<I", _read_exact(fh, 4))
+            raise D.DataError(f"{path}: unsupported version {version}")
+        spec_text = D.read_text(fh, "the architecture text")
         try:
-            spec = ArchitectureSpec.from_text(_read_exact(fh, spec_len).decode("utf-8"))
+            spec = ArchitectureSpec.from_text(spec_text)
         except ValueError as e:
-            raise CheckpointError(f"{path}: {e}") from e
+            raise D.DataError(f"{path}: {e}") from e
         model = build_model(spec, _NoDraws())
         slots = {**model.params, **model.buffers}
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        seen = set()
+        unfilled = dict(slots)
+        (count,) = D.read_u32(fh)
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", _read_exact(fh, 4))
-            try:
-                name = _read_exact(fh, nlen).decode("utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointError(f"{path}: a tensor name is not UTF-8") from None
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
-            if name not in slots:
-                raise CheckpointError(f"{path}: unknown tensor {name!r}")
-            if name in seen:
-                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-            if tuple(shape) != slots[name].shape:
-                raise CheckpointError(
-                    f"{path}: {name} stored {tuple(shape)}, model wants {slots[name].shape}")
-            slot = slots[name].data
-            if fh.readinto(slot) != slot.nbytes:  # float32 straight into its slot
-                raise CheckpointError(f"{path}: truncated checkpoint")
-            if not np.little_endian:  # the file is little-endian
-                slot.byteswap(inplace=True)
-            seen.add(name)
+            name = D.read_text(fh, "a tensor name")
+            (rank,) = D.read_u32(fh)
+            shape = D.read_u32(fh, rank)
+            if name not in unfilled:
+                what = "duplicate" if name in slots else "unknown"
+                raise D.DataError(f"{path}: {what} tensor {name!r}")
+            slot = unfilled.pop(name).data
+            if shape != slot.shape:
+                raise D.DataError(
+                    f"{path}: {name} stored {shape}, model wants {slot.shape}")
+            D.read_f32_into(fh, slot)
         if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes")
-    missing = set(slots) - seen
-    if missing:
-        raise CheckpointError(f"{path}: missing tensors {sorted(missing)[:4]}")
+            raise D.DataError(f"{path}: trailing bytes")
+    if unfilled:
+        raise D.DataError(f"{path}: missing tensors {sorted(unfilled)[:4]}")
     return model.eval()

@@ -641,6 +641,55 @@ def test_text_that_is_not_utf8_is_a_data_error_naming_its_file(pipe, tmp_path, c
     assert not out.exists()
 
 
+def _first_stamp_offset(cube_bytes):
+    """Where the first timestamp's text starts in a cube file's bytes."""
+    _, _, _, c, h, w = struct.unpack("<6I", cube_bytes[4:28])
+    at = 28
+    for _ in range(c):
+        (n,) = struct.unpack("<I", cube_bytes[at:at + 4])
+        at += 4 + n
+    return at + (h * w + 7) // 8 + 4
+
+
+@pytest.mark.parametrize("case", [
+    "cube-magic", "cube-cut-header", "cube-band-name", "cube-stamp",
+    "cube-cut-frames", "cube-trailing", "checkpoint-magic", "checkpoint-cut-tensor",
+    "checkpoint-unknown-tensor", "checkpoint-trailing"])
+def test_a_corrupt_binary_file_exits_3_naming_its_file(pipe, tmp_path, capsys, case):
+    which, _, damage = case.partition("-")
+    src = pipe["cube"] if which == "cube" else pipe["train"] / "final.wxpm"
+    whole = src.read_bytes()
+    if damage == "magic":
+        broken = b"JUNK" + whole[4:]
+    elif damage == "cut-header":
+        broken = whole[:20]
+    elif damage == "band-name":
+        broken = whole[:32] + b"\xff" + whole[33:]
+    elif damage == "stamp":
+        at = _first_stamp_offset(whole)
+        assert whole[at:at + 4] == b"2019"
+        broken = whole[:at] + b"x" + whole[at + 1:]
+    elif damage in ("cut-frames", "cut-tensor"):
+        broken = whole[:-10]
+    elif damage == "trailing":
+        broken = whole + b"\0"
+    else:
+        broken = whole.replace(b"fc1.weight", b"fc9.weight", 1)
+    bad = tmp_path / src.name
+    bad.write_bytes(broken)
+    out = tmp_path / "out"
+    if which == "cube":
+        argv = ["eval", "--checkpoint", pipe["train"] / "final.wxpm", "--cube", bad,
+                "--power", pipe["power"], "--splits", pipe["splits"]]
+    else:
+        argv = ["saliency", "--checkpoint", bad, "--cube", pipe["cube"], "--index", 3]
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: {bad}: "), err
+    assert not out.exists()
+
+
 def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"seed=1\nhours=\xff\n")

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -516,6 +517,34 @@ def test_cube_file_frames_are_the_raw_little_endian_bytes(tmp_path):
         D.load_cube(p)
 
 
+def _u32_text(text):
+    b = text.encode("utf-8")
+    return struct.pack("<I", len(b)) + b
+
+
+def test_cube_file_layout(tmp_path):
+    # every byte spelled out with struct, apart from the helpers that write
+    # the file, so that no change to them can move the format unnoticed
+    mask = np.zeros((2, 3), dtype=bool)
+    mask[1, 2] = True
+    stamps = ["2019-01-01T00:00:00", "2019-01-01T01:00:00", "2019-01-01T02:00:00"]
+    frames = np.arange(3 * 2 * 2 * 3, dtype=np.float32).reshape(3, 2, 2, 3)
+    cube = D.WeatherCube(frames, [D.parse_timestamp(s) for s in stamps],
+                         ("pressure", "cloud_cover"), mask, normalized=True)
+    p = tmp_path / "cube.wxc"
+    D.save_cube(cube, p)
+    want = (b"WXC1" + struct.pack("<6I", 1, 1, 3, 2, 2, 3)
+            + _u32_text("pressure") + _u32_text("cloud_cover")
+            + bytes([0b00000100])  # six mask bits, first pixel in the top bit
+            + b"".join(_u32_text(s) for s in stamps)
+            + struct.pack("<36f", *range(36)))
+    assert p.read_bytes() == want
+    again = D.load_cube(p)
+    assert again.frames.tobytes() == frames.tobytes() and again.normalized
+    assert again.bands == cube.bands and (again.mask == mask).all()
+    assert [D.format_timestamp(ts) for ts in again.timestamps] == stamps
+
+
 def test_save_cube_failure_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
     p = tmp_path / "cube.wxc"
     D.save_cube(small_cube(seed=1), p)
@@ -962,6 +991,14 @@ def test_split_file_refuses_unknown_missing_and_repeated_keys(tmp_path):
         with pytest.raises(D.DataError) as e:
             D.SplitIndices.load(p)
         assert str(e.value).startswith(want), str(e.value)
+
+
+def test_split_file_with_a_bad_stack_names_its_line(tmp_path):
+    p = tmp_path / "split.txt"
+    p.write_text("seed=0\nstack=3\ntrain=1,2\nval=3\ntest=4\n")
+    with pytest.raises(D.DataError) as e:
+        D.SplitIndices.load(p)
+    assert str(e.value).startswith(f"{p}:2: bad stack"), str(e.value)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from wxpower import data as D
 from wxpower import models as M
 from wxpower import tensor as T
 from wxpower.layers import Rng
@@ -496,14 +497,14 @@ def test_checkpoint_missing_tensor_refused(tmp_path, spec):
     del model.params[next(iter(model.params))]
     p = tmp_path / "m.wxpm"
     M.save_checkpoint(model, p)
-    with pytest.raises(M.CheckpointError, match="missing tensors"):
+    with pytest.raises(D.DataError, match="missing tensors"):
         M.load_checkpoint(p)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "bad.wxpm"
     p.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(M.CheckpointError):
+    with pytest.raises(D.DataError):
         M.load_checkpoint(p)
 
 
@@ -515,9 +516,9 @@ def test_checkpoint_rejects_truncation(tmp_path):
     # a cut inside the header, and one inside a tensor's values
     for keep in (10, len(whole) // 2):
         p.write_bytes(whole[:keep])
-        with pytest.raises(M.CheckpointError) as e:
+        with pytest.raises(D.DataError) as e:
             M.load_checkpoint(p)
-        assert str(e.value) == f"{p}: truncated checkpoint"
+        assert str(e.value) == f"{p}: truncated file"
 
 
 def test_save_checkpoint_failure_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
@@ -525,19 +526,47 @@ def test_save_checkpoint_failure_keeps_the_old_file_and_no_temp(tmp_path, monkey
     M.save_checkpoint(M.build_model(tiny_linear_spec(), Rng(1)), p)
     old = p.read_bytes()
     assert sorted(x.name for x in tmp_path.iterdir()) == ["final.wxpm"]
-    write_block, written = M._write_block, []
+    write_text, written = D.write_text, []
 
-    def fail_third(fh, name, arr):
-        written.append(name)
-        if len(written) == 3:
+    def fail_third(fh, text):
+        written.append(text)
+        if len(written) == 4:  # the architecture text, then three tensor names
             raise RuntimeError("write interrupted")
-        write_block(fh, name, arr)
+        write_text(fh, text)
 
-    monkeypatch.setattr(M, "_write_block", fail_third)
+    monkeypatch.setattr(D, "write_text", fail_third)
     with pytest.raises(RuntimeError, match="write interrupted"):
         M.save_checkpoint(M.build_model(tiny_linear_spec(), Rng(2)), p)
     assert p.read_bytes() == old
     assert sorted(x.name for x in tmp_path.iterdir()) == ["final.wxpm"]
+
+
+def test_checkpoint_file_layout(tmp_path):
+    # every byte spelled out with struct, apart from the helpers that write
+    # the file; the weights are np.arange, not drawn, so no Rng stream is pinned
+    model = M.build_linear(2, Rng(0), input_hw=(2, 3), fc_widths=(4,))
+    for t in model.params.values():
+        t.data[...] = np.arange(t.data.size, dtype=np.float32).reshape(t.data.shape)
+    p = tmp_path / "m.wxpm"
+    M.save_checkpoint(model, p)
+
+    def text(s):
+        b = s.encode("utf-8")
+        return struct.pack("<I", len(b)) + b
+
+    spec = ("family=linear\ninput_channels=2\ninput_hw=2,3\noutputs=2\n"
+            "fc_widths=4\ndropout_p=0.2\nstem_width=32\nstage_blocks=3,3,2,2\n"
+            "stage_widths=64,128,256,512\nhead_hidden=64\n")
+    want = b"WXPM" + struct.pack("<I", 1) + text(spec) + struct.pack("<I", 4)
+    for name, shape in [("fc1.weight", (4, 12)), ("fc1.bias", (4,)),
+                        ("fc2.weight", (2, 4)), ("fc2.bias", (2,))]:
+        size = int(np.prod(shape))
+        want += (text(name) + struct.pack(f"<{1 + len(shape)}I", len(shape), *shape)
+                 + struct.pack(f"<{size}f", *range(size)))
+    assert p.read_bytes() == want
+    loaded = M.load_checkpoint(p)
+    for name, t in model.params.items():
+        assert loaded.params[name].data.tobytes() == t.data.tobytes(), name
 
 
 def test_checkpoint_architecture_text_refuses_a_repeated_key(tmp_path):
@@ -549,7 +578,7 @@ def test_checkpoint_architecture_text_refuses_a_repeated_key(tmp_path):
     assert spec.count(b"\n") == 10
     spec += b"dropout_p=0.5\n"
     p.write_bytes(whole[:8] + struct.pack("<I", len(spec)) + spec + whole[12 + n:])
-    with pytest.raises(M.CheckpointError) as e:
+    with pytest.raises(D.DataError) as e:
         M.load_checkpoint(p)
     assert str(e.value) == f"{p}: architecture:11: repeated key 'dropout_p'"
 
@@ -578,7 +607,7 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     p = tmp_path / "m.wxpm"
     M.save_checkpoint(model, p)
     p.write_bytes(p.read_bytes() + b"x")
-    with pytest.raises(M.CheckpointError):
+    with pytest.raises(D.DataError):
         M.load_checkpoint(p)
 
 
