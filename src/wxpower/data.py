@@ -485,11 +485,17 @@ def write_f32(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f4").data)
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def read_exact(fh, n: int) -> bytes:
-    b = fh.read(n)
-    if len(b) != n:
+    """The next n bytes. A count larger than what is left in the file is
+    refused before the read, so a corrupt count cannot ask for more memory
+    than exists."""
+    if n > _bytes_left(fh):
         raise DataError(f"{fh.name}: truncated file")
-    return b
+    return fh.read(n)
 
 
 def read_u32(fh, count: int = 1) -> tuple[int, ...]:
@@ -528,6 +534,9 @@ def save_cube(cube: WeatherCube, path) -> None:
 
 
 def load_cube(path) -> WeatherCube:
+    """The cube at `path`, its frames mapped copy-on-write: a reader pages in
+    only the hours it touches, a write into them stays in this process, and
+    a `save_cube` over the same path leaves the mapped pages as they were."""
     with open(path, "rb") as fh:
         if read_exact(fh, 4) != CUBE_MAGIC:
             raise DataError(f"{path}: not a cube file")
@@ -540,10 +549,12 @@ def load_cube(path) -> WeatherCube:
         mask = np.unpackbits(np.frombuffer(mask_bytes, dtype=np.uint8))[:nbits]
         mask = mask.astype(bool).reshape(h, w)
         stamps = [read_text(fh, "a timestamp") for _ in range(t)]
-        frames = np.empty((t, c, h, w), dtype=np.float32)
-        read_f32_into(fh, frames)
-        if fh.read(1):
+        left, want = _bytes_left(fh), 4 * t * c * h * w
+        if left < want:
+            raise DataError(f"{path}: truncated file")
+        if left > want:
             raise DataError(f"{path}: trailing bytes")
+        frames = np.memmap(fh, dtype="<f4", mode="c", offset=fh.tell(), shape=(t, c, h, w))
     try:
         return WeatherCube(frames, [parse_timestamp(s) for s in stamps], bands, mask,
                            normalized=bool(flags & _FLAG_NORMALIZED))

@@ -8,9 +8,10 @@ outputs (solar MW, wind MW):
   predictions at zero.
 * "resnet": 7x7/stride-2 stem conv + batchnorm + relu, four stages of
   bottleneck blocks (1x1 down, 3x3, 1x1 up, batchnorm + relu on each,
-  additive shortcut before the block's final relu), 2x2/stride-2 average
-  pooling between stages, global average pooling, then a small
-  relu-capped regression head.
+  additive shortcut before the block's final relu, which the residual add
+  carries in its own record), 2x2/stride-2 average pooling between
+  stages, global average pooling, then a small relu-capped regression
+  head.
 
 Every conv runs in `_conv_bn`. Train mode normalizes the conv's output
 with batch statistics in its own record. Eval mode folds the batchnorm,
@@ -298,7 +299,7 @@ def _block_forward(blk: dict, x: T.Tensor, mode: str) -> T.Tensor:
     h = _conv_bn(blk, "conv2", "bn2", h, mode, relu=True)
     h = _conv_bn(blk, "conv3", "bn3", h, mode)
     shortcut = _conv_bn(blk, "proj", "proj_bn", x, mode) if "proj" in blk else x
-    return T.relu(T.add(h, shortcut))
+    return T.add(h, shortcut, relu=True)
 
 
 def _forward_resnet(model: Model, x: T.Tensor) -> T.Tensor:

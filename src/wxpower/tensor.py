@@ -209,11 +209,20 @@ def _check_same(a: Tensor, b: Tensor, op: str) -> None:
 # ---------------------------------------------------------------------------
 # Elementwise
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """a + b. With `relu`, the relu that follows runs in the same record, as
+    in `conv2d`: the forward clamps its own fresh output in place and the
+    rule first applies the relu's `g * (out > 0)`. A ResNet block's residual
+    add calls it that way."""
     _check_same(a, b, "add")
     out = a.data + b.data
+    if relu:
+        np.maximum(out, 0, out=out)
+    relu_out = out if relu else None
 
     def rule(g):
+        if relu:
+            g = g * (relu_out > 0)  # subgradient at 0 is 0
         return (g, g)
 
     return record("add", (a, b), out, rule)

@@ -653,8 +653,9 @@ def _first_stamp_offset(cube_bytes):
 
 @pytest.mark.parametrize("case", [
     "cube-magic", "cube-cut-header", "cube-band-name", "cube-stamp",
-    "cube-cut-frames", "cube-trailing", "checkpoint-magic", "checkpoint-cut-tensor",
-    "checkpoint-unknown-tensor", "checkpoint-trailing"])
+    "cube-cut-frames", "cube-trailing", "cube-huge-grid", "checkpoint-magic",
+    "checkpoint-cut-tensor", "checkpoint-unknown-tensor", "checkpoint-trailing",
+    "checkpoint-huge-rank"])
 def test_a_corrupt_binary_file_exits_3_naming_its_file(pipe, tmp_path, capsys, case):
     which, _, damage = case.partition("-")
     src = pipe["cube"] if which == "cube" else pipe["train"] / "final.wxpm"
@@ -673,6 +674,14 @@ def test_a_corrupt_binary_file_exits_3_naming_its_file(pipe, tmp_path, capsys, c
         broken = whole[:-10]
     elif damage == "trailing":
         broken = whole + b"\0"
+    elif damage == "huge-grid":  # H and W: a mask larger than any memory
+        broken = whole[:20] + struct.pack("<2I", 0xFFFFFFFF, 0xFFFFFFFF) + whole[28:]
+    elif damage == "huge-rank":  # the first tensor's rank, after its name
+        (spec_len,) = struct.unpack("<I", whole[8:12])
+        at = 12 + spec_len + 4
+        (name_len,) = struct.unpack("<I", whole[at:at + 4])
+        at += 4 + name_len
+        broken = whole[:at] + struct.pack("<I", 0xFFFFFFFF) + whole[at + 4:]
     else:
         broken = whole.replace(b"fc1.weight", b"fc9.weight", 1)
     bad = tmp_path / src.name

@@ -517,6 +517,42 @@ def test_cube_file_frames_are_the_raw_little_endian_bytes(tmp_path):
         D.load_cube(p)
 
 
+def test_load_cube_maps_its_frames_instead_of_copying_them(tmp_path):
+    cube = small_cube(t=300, h=30, w=40, seed=9)  # 8.6 MB of frames
+    p = tmp_path / "cube.wxc"
+    D.save_cube(cube, p)
+    tracemalloc.start()
+    try:
+        again = D.load_cube(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cube.frames.nbytes / 10, peak
+    assert again.frames.tobytes() == cube.frames.tobytes()
+
+
+def test_a_loaded_cube_keeps_its_values_when_its_file_is_replaced(tmp_path):
+    p = tmp_path / "cube.wxc"
+    first, second = small_cube(seed=1), small_cube(seed=2)
+    D.save_cube(first, p)
+    loaded = D.load_cube(p)
+    D.save_cube(second, p)
+    assert loaded.frames.tobytes() == first.frames.tobytes()
+    assert D.load_cube(p).frames.tobytes() == second.frames.tobytes()
+
+
+def test_writing_into_loaded_frames_leaves_the_file_unchanged(tmp_path):
+    p = tmp_path / "cube.wxc"
+    D.save_cube(small_cube(seed=3), p)
+    whole = p.read_bytes()
+    cube = D.load_cube(p)
+    cube.frames[...] = 7.0
+    cube.frames[0, 0, 0, 0] = -1.0
+    del cube
+    assert p.read_bytes() == whole
+    assert D.load_cube(p).frames.tobytes() == small_cube(seed=3).frames.tobytes()
+
+
 def _u32_text(text):
     b = text.encode("utf-8")
     return struct.pack("<I", len(b)) + b

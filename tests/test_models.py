@@ -326,6 +326,43 @@ def test_train_mode_records_no_fold_and_matches_the_walk_bitwise(monkeypatch):
         npt.assert_array_equal(buffers[k], buffers_w[k], err_msg=k)
 
 
+def block_then_relu(blk, x, mode):
+    """The block with its residual add and final relu as two records."""
+    h = M._conv_bn(blk, "conv1", "bn1", x, mode, relu=True)
+    h = M._conv_bn(blk, "conv2", "bn2", h, mode, relu=True)
+    h = M._conv_bn(blk, "conv3", "bn3", h, mode)
+    shortcut = M._conv_bn(blk, "proj", "proj_bn", x, mode) if "proj" in blk else x
+    return T.relu(T.add(h, shortcut))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_residual_add_carries_its_relu_bitwise(monkeypatch, mode):
+    x = np.random.default_rng(4).normal(size=(3, 2, 12, 12)).astype(np.float32)
+
+    def step():
+        model = stats_model(np.float32)
+        model = model.train() if mode == "train" else model.eval()
+        xt = T.Tensor(x.copy(), requires_grad=True)
+        with T.Tape() as tape:
+            out = M.model_forward(model, xt)
+            names = [op.name for op in tape.ops]
+            T.backward(tape, T.create(out.shape, 1.0))
+        grads = {k: p.grad for k, p in model.params.items()}
+        return names, out.data, grads, xt.grad
+
+    names, out, grads, gx = step()
+    monkeypatch.setattr(M, "_block_forward", block_then_relu)
+    names_w, out_w, grads_w, gx_w = step()
+    blocks = names.count("add")
+    assert blocks == 2 and names_w.count("add") == blocks
+    assert names.count("relu") == 2  # the head's two
+    assert len(names) == len(names_w) - blocks
+    npt.assert_array_equal(out, out_w)
+    npt.assert_array_equal(gx, gx_w)
+    for k in grads:
+        npt.assert_array_equal(grads[k], grads_w[k], err_msg=k)
+
+
 def test_eval_tape_folds_every_unit_into_one_conv_record():
     model = stats_model(np.float32).eval()
     x = T.from_array(np.random.default_rng(3).normal(size=(1, 2, 12, 12)), requires_grad=True)

@@ -675,6 +675,56 @@ def test_conv2d_relu_is_bitwise_conv_then_relu():
         npt.assert_array_equal(got, ref)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_add_relu_is_bitwise_add_then_relu(dtype):
+    # as conv2d's flag: one record whose output, both gradients, shape and
+    # dtype are those of an add record followed by a relu record, with
+    # exact zeros in a, in b and in a + b
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(3, 4, 9, 7)).astype(dtype)
+    b = rng.normal(size=a.shape).astype(dtype)
+    a.flat[::5] = 0.0
+    b.flat[::7] = 0.0
+    b.flat[1::4] = -a.flat[1::4]
+    g = rng.normal(size=a.shape).astype(dtype)
+    results = []
+    for fused in (True, False):
+        ts = [T.Tensor(v.copy(), requires_grad=True) for v in (a, b)]
+        with T.Tape() as tape:
+            out = T.add(*ts, relu=True) if fused else T.relu(T.add(*ts))
+            ops = list(tape.ops)
+        T.backward(tape, T.Tensor(g.copy()))
+        results.append(([out.data] + [t.grad for t in ts], ops, ts))
+    (got, fused_ops, leaves), (ref, walk_ops, _) = results
+    assert (got[0] == 0).any() and (got[0] > 0).any()
+    assert ((a + b) == 0).any()
+    assert [op.name for op in fused_ops] == ["add"]
+    assert [op.name for op in walk_ops] == ["add", "relu"]
+    (rec,), last = fused_ops, walk_ops[-1]
+    assert (rec.shape, rec.dtype) == (last.shape, last.dtype)
+    assert rec.inputs == tuple(leaves) and walk_ops[1].inputs == (0,)
+    for x, y in zip(got, ref):
+        assert x.dtype == y.dtype == dtype
+        npt.assert_array_equal(x, y)
+
+
+def test_add_relu_holds_one_output():
+    # the relu clamps the add's own fresh output: no second full-size array
+    a, b = (T.from_array(np.random.default_rng(s).normal(size=(8, 16, 32, 32)),
+                         requires_grad=True) for s in (1, 2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with T.Tape():
+            out = T.add(a, b, relu=True)
+            held = tracemalloc.get_traced_memory()[0] - base
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 1.1 * out.data.nbytes, held
+    assert peak < 1.1 * out.data.nbytes, peak
+
+
 def test_conv2d_keeps_no_batch_wide_columns():
     # 7x7 stride 1: the (N*Ho*Wo, C*kh*kw) column buffer dwarfs the input
     n, c, f, hw, ksize = 16, 4, 4, 48, 7
