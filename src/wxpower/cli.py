@@ -8,7 +8,6 @@ numeric failure.
 """
 
 import argparse
-import csv
 import functools
 import hashlib
 import os
@@ -130,8 +129,7 @@ def _write_run_files(out_dir, used: dict, input_paths) -> None:
             v = tuple(f"{x:.9g}" for x in v)
         if v is not None:
             pairs.append((k, v))
-    with open(os.path.join(out_dir, "config.resolved"), "w") as fh:
-        fh.write(D.keys_text(pairs))
+    D.save_text(os.path.join(out_dir, "config.resolved"), D.keys_text(pairs))
     hashes = []
     for p in input_paths:
         digest = hashlib.sha256()
@@ -139,8 +137,8 @@ def _write_run_files(out_dir, used: dict, input_paths) -> None:
             for chunk in iter(lambda: fh.read(1 << 20), b""):
                 digest.update(chunk)
         hashes.append(f"{digest.hexdigest()}  {os.path.basename(os.fspath(p))}")
-    with open(os.path.join(out_dir, "inputs.sha256"), "w") as fh:
-        fh.write("\n".join(hashes) + ("\n" if hashes else ""))
+    D.save_text(os.path.join(out_dir, "inputs.sha256"),
+                "".join(line + "\n" for line in hashes))
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +207,17 @@ def cmd_synth(args) -> int:
         rel = f"frames/frame_{i:05d}.f32"
         frame.tofile(os.path.join(out_dir, rel))
         rows.append((stamp, rel, h, w, c))
-    with open(os.path.join(out_dir, "manifest.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["timestamp", "path", "height", "width", "channels"])
-        wr.writerows(rows)
-
-    with open(os.path.join(out_dir, "power.csv"), "w") as fh:
-        fh.write(result.power_csv)
-    with open(os.path.join(out_dir, "plants.csv"), "w") as fh:
-        fh.write("source,row,col\n")
-        for src in ("solar", "wind"):
-            for (pi, pj) in np.argwhere(result.plant_masks[src]):
-                fh.write(f"{src},{pi},{pj}\n")
-    with open(os.path.join(out_dir, "truth.csv"), "w") as fh:
-        fh.write("timestamp,solar_mw,wind_mw\n")
-        for stamp, solar, wind in zip(stamps, result.solar_truth, result.wind_truth):
-            fh.write(f"{stamp},{solar:.9g},{wind:.9g}\n")
+    D.save_text(os.path.join(out_dir, "manifest.csv"), D.csv_text(
+        ["timestamp", "path", "height", "width", "channels"], rows))
+    D.save_text(os.path.join(out_dir, "power.csv"), result.power_csv)
+    D.save_text(os.path.join(out_dir, "plants.csv"),
+                "source,row,col\n" + "".join(
+                    f"{src},{pi},{pj}\n" for src in D.SOURCES
+                    for (pi, pj) in np.argwhere(result.plant_masks[src])))
+    D.save_text(os.path.join(out_dir, "truth.csv"),
+                "timestamp,solar_mw,wind_mw\n" + "".join(
+                    f"{stamp},{solar:.9g},{wind:.9g}\n" for stamp, solar, wind
+                    in zip(stamps, result.solar_truth, result.wind_truth)))
     _write_run_files(out_dir, r.used, [])
     print(f"synthesized {len(stamps)} hours on a {h}x{w} grid into {out_dir}")
     return EXIT_OK
@@ -258,7 +251,7 @@ def cmd_split(args) -> int:
     ds = _load_aligned(r.require("cube"), r.require("power"))
     eligible = ds.eligible_indices(stack)
     if exclude:
-        for src in ("solar", "wind"):
+        for src in D.SOURCES:
             D.detect_constant_runs(ds.power, src)
         eligible = [i for i in eligible if not ds.power.flags[ds.power_idx[i]]]
     split = D.split_indices(eligible, seed, stack)
@@ -379,10 +372,8 @@ def cmd_eval(args) -> int:
     res = O.evaluate(model, ds, ids, split.stack, train_means)
     rep = compute_report(res.pred, res.target, train_means)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-        fh.write(report_text(rep))
-    with open(os.path.join(out_dir, "report.csv"), "w") as fh:
-        fh.write(report_csv(rep))
+    D.save_text(os.path.join(out_dir, "report.txt"), report_text(rep))
+    D.save_text(os.path.join(out_dir, "report.csv"), report_csv(rep))
     print(report_text(rep), end="")
     if window is not None:
         _write_window(ds, model, split.stack, window, out_dir)
@@ -411,11 +402,11 @@ def _write_window(ds, model, stack, ids, out_dir) -> None:
     """Chronological true-vs-estimated slice as CSV + SVG."""
     res = O.evaluate(model, ds, ids, stack, (1.0, 1.0))
     stamps = [D.format_timestamp(ds.timestamps[i]) for i in ids]
-    with open(os.path.join(out_dir, "window.csv"), "w") as fh:
-        fh.write("timestamp,true_solar,pred_solar,true_wind,pred_wind\n")
-        for k, stamp in enumerate(stamps):
-            fh.write(f"{stamp},{res.target[k, 0]:.9g},{res.pred[k, 0]:.9g},"
-                     f"{res.target[k, 1]:.9g},{res.pred[k, 1]:.9g}\n")
+    D.save_text(os.path.join(out_dir, "window.csv"),
+                "timestamp,true_solar,pred_solar,true_wind,pred_wind\n" + "".join(
+                    f"{stamp},{res.target[k, 0]:.9g},{res.pred[k, 0]:.9g},"
+                    f"{res.target[k, 1]:.9g},{res.pred[k, 1]:.9g}\n"
+                    for k, stamp in enumerate(stamps)))
     hours = [(ds.timestamps[i] - ds.timestamps[ids[0]]) / D.HOUR for i in ids]
     svg = P.line_chart(
         [("true solar", hours, res.target[:, 0]),
@@ -461,7 +452,7 @@ def cmd_saliency(args) -> int:
     when = D.format_timestamp(cube.timestamps[index])
 
     os.makedirs(out_dir, exist_ok=True)
-    for out_idx, name in enumerate(S.OUTPUT_NAMES):
+    for out_idx, name in enumerate(D.SOURCES):
         smap = S.saliency_map(model, x, out_idx, timestamp=when, mask=cube.mask)
         S.export_map(smap, os.path.join(out_dir, f"{name}.csv"), "csv")
         S.export_map(smap, os.path.join(out_dir, f"{name}.pgm"), "pgm")
@@ -480,7 +471,7 @@ def cmd_anomalies(args) -> int:
     if min_len < 2:
         raise ConfigError(f"min_len must be >= 2, got {min_len}")
     power = D.load_power(r.require("power"))
-    sources = ("solar", "wind") if which == "both" else (which,)
+    sources = D.SOURCES if which == "both" else (which,)
     total = 0
     for src in sources:
         for run in D.detect_constant_runs(power, src, min_len=min_len):
@@ -562,9 +553,6 @@ def main(argv=None) -> int:
     except D.DataError as e:
         print(f"error: data: {e}", file=sys.stderr)
         return EXIT_DATA
-    except ConfigError as e:
-        print(f"error: config: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as e:
         print(f"error: data: {e}", file=sys.stderr)
         return EXIT_DATA

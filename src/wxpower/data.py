@@ -349,9 +349,8 @@ class NormalizerStats:
     stds: tuple[float, ...]
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(keys_text((b, (m, s)) for b, m, s in
-                               zip(self.bands, self.means, self.stds)))
+        save_text(path, keys_text((b, (m, s)) for b, m, s in
+                                  zip(self.bands, self.means, self.stds)))
 
 
 def fit_normalizer(cube: WeatherCube) -> NormalizerStats:
@@ -440,9 +439,10 @@ def apply_normalizer(cube: WeatherCube, stats: NormalizerStats) -> WeatherCube:
 
 
 # ---------------------------------------------------------------------------
-# binary files, cube.wxc and .wxpm: written through replace_file, built from
-# u32 counts, UTF-8 text behind a u32 length and little-endian float32 arrays;
-# every error of their readers is a DataError that starts with the file's name
+# files: every file a command writes lands whole through replace_file, text as
+# UTF-8 through save_text. cube.wxc and .wxpm are built from u32 counts, UTF-8
+# text behind a u32 length and little-endian float32 arrays; every error of
+# their readers is a DataError that starts with the file's name
 
 @contextmanager
 def replace_file(path):
@@ -469,6 +469,23 @@ def replace_file(path):
             os.remove(tmp)
         raise
     os.rename(tmp, path)  # the earlier file is gone: keep the temp one if this fails
+
+
+def save_text(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8 through `replace_file`. Text that
+    cannot be encoded raises before any file is opened."""
+    data = text.encode("utf-8")
+    with replace_file(path) as fh:
+        fh.write(data)
+
+
+def csv_text(header, rows) -> str:
+    """A CSV table as text, every line ended by csv.writer's CRLF."""
+    buf = io.StringIO()
+    wr = csv.writer(buf)
+    wr.writerow(header)
+    wr.writerows(rows)
+    return buf.getvalue()
 
 
 def write_u32(fh, *values: int) -> None:
@@ -676,12 +693,10 @@ def detect_constant_runs(power: PowerSeries, source: str,
 
 
 def save_power(power: PowerSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(_HOURLY_HEADER)
-        for i, ts in enumerate(power.timestamps):
-            wr.writerow([format_timestamp(ts), repr(float(power.solar[i])),
-                         repr(float(power.wind[i])), ";".join(sorted(power.flags[i]))])
+    save_text(path, csv_text(_HOURLY_HEADER, (
+        [format_timestamp(ts), repr(float(power.solar[i])),
+         repr(float(power.wind[i])), ";".join(sorted(power.flags[i]))]
+        for i, ts in enumerate(power.timestamps))))
 
 
 def load_power(path) -> PowerSeries:
@@ -814,9 +829,8 @@ class SplitIndices:
     stack: int
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(keys_text((k, getattr(self, k))
-                               for k in ("seed", "stack", "train", "val", "test")))
+        save_text(path, keys_text((k, getattr(self, k))
+                                  for k in ("seed", "stack", "train", "val", "test")))
 
     @classmethod
     def load(cls, path) -> "SplitIndices":
@@ -1039,14 +1053,13 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     frames[:, :, mask] = 0.0
     cube = WeatherCube(frames, stamps, BANDS, mask)
 
-    buf = io.StringIO()
-    wr = csv.writer(buf)
-    wr.writerow(_FEED_HEADER)
     minute = np.timedelta64(5, "m")
-    for i, ts in enumerate(stamps):
-        for k in range(12):
-            sub = format_timestamp((ts + k * minute).astype("datetime64[s]"))
-            wr.writerow([sub, "solar", f"{solar[i]:.9g}"])
-            wr.writerow([sub, "wind", f"{wind[i]:.9g}"])
 
-    return SynthResult(cube, buf.getvalue(), solar, wind, masks)
+    def feed_rows():
+        for i, ts in enumerate(stamps):
+            for k in range(12):
+                sub = format_timestamp((ts + k * minute).astype("datetime64[s]"))
+                yield [sub, "solar", f"{solar[i]:.9g}"]
+                yield [sub, "wind", f"{wind[i]:.9g}"]
+
+    return SynthResult(cube, csv_text(_FEED_HEADER, feed_rows()), solar, wind, masks)

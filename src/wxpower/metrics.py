@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SOURCES = ("solar", "wind")
-
 
 def _as2d(a, name) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)

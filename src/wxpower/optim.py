@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import tensor as T
-from .data import iter_batches
+from .data import iter_batches, save_text
 from .layers import Rng
 from .metrics import compute_report
 from .models import Model, _resnet_spatial_plan, model_forward, param_count, save_checkpoint
@@ -423,7 +423,6 @@ def train(model: Model, dataset, split, config: TrainConfig,
     model.eval()
     if out_dir is not None:
         save_checkpoint(model, os.path.join(out_dir, "final.wxpm"))
-        with open(os.path.join(out_dir, "history.csv"), "w") as fh:
-            fh.write(_history_csv(state.history))
+        save_text(os.path.join(out_dir, "history.csv"), _history_csv(state.history))
 
     return state

@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data as D
 from . import tensor as T
 from .models import Model, model_forward
-
-OUTPUT_NAMES = ("solar", "wind")
 
 
 @dataclass
@@ -27,8 +26,8 @@ class SaliencyMap:
         self.values = np.asarray(self.values)
         if self.values.ndim != 2:
             raise ValueError(f"map must be 2-d, got shape {self.values.shape}")
-        if self.source not in OUTPUT_NAMES:
-            raise ValueError(f"source must be one of {OUTPUT_NAMES}")
+        if self.source not in D.SOURCES:
+            raise ValueError(f"source must be one of {D.SOURCES}")
         if self.mask is not None:
             self.mask = np.asarray(self.mask, dtype=bool)
             if self.mask.shape != self.values.shape:
@@ -65,7 +64,7 @@ def saliency_map(model: Model, x, output_index: int, *, timestamp: str = "",
     T.clear_grads(model.params.values())
 
     values = np.max(np.abs(inp.grad[0]), axis=0)
-    return SaliencyMap(values, OUTPUT_NAMES[output_index],
+    return SaliencyMap(values, D.SOURCES[output_index],
                        timestamp=timestamp, mask=mask)
 
 
@@ -101,10 +100,8 @@ def export_map(smap: SaliencyMap, path, fmt: str) -> None:
 
 
 def _export_csv(smap: SaliencyMap, path) -> None:
-    with open(path, "w", newline="") as fh:
-        for row in smap.values:
-            fh.write(",".join(f"{float(v):.9g}" for v in row))
-            fh.write("\n")
+    D.save_text(path, "".join(",".join(f"{float(v):.9g}" for v in row) + "\n"
+                              for row in smap.values))
 
 
 def _export_pgm(smap: SaliencyMap, path) -> None:
@@ -120,6 +117,6 @@ def _export_pgm(smap: SaliencyMap, path) -> None:
     if smap.mask is not None:
         comment += f"; corner mask covers {int(smap.mask.sum())} px"
     header = f"P5\n{comment}\n{w} {h}\n255\n"
-    with open(path, "wb") as fh:
+    with D.replace_file(path) as fh:
         fh.write(header.encode("ascii"))
         fh.write(pix.tobytes())

@@ -7,6 +7,8 @@ no timestamps, no randomness), so identical inputs give identical bytes.
 
 import numpy as np
 
+from .data import save_text
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _MARGIN_L = 62
@@ -149,5 +151,4 @@ def _esc(text: str) -> str:
 
 
 def save_chart(path, svg_text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(svg_text)
+    save_text(path, svg_text)

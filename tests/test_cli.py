@@ -2,6 +2,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from wxpower import models as M
 from wxpower.layers import Rng
 
 from test_data import whole_cube_stats
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(*argv):
@@ -706,6 +710,51 @@ def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert run("synth", "--config", cfg, "--out", tmp_path / "s") == cli.EXIT_CONFIG
     assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_an_unencodable_config_resolved_is_not_left_empty(tmp_path, capsys):
+    # argv decodes a non-UTF-8 byte of a path as a lone surrogate, which
+    # config.resolved's out= line cannot encode
+    out = tmp_path / "synth\udcc3"
+    assert run("synth", "--out", out, "--hours", 24, "--grid", 20) == cli.EXIT_CONFIG
+    assert "error: config:" in capsys.readouterr().err
+    assert (out / "manifest.csv").exists()
+    assert not (out / "config.resolved").exists()
+    assert not (out / "config.resolved.tmp").exists()
+
+
+def test_every_file_the_commands_write_names_its_encoding(tmp_path):
+    # EncodingWarning is only raised when switched on at interpreter start,
+    # so the chain runs in subprocesses; an open() that falls back to the
+    # locale's encoding makes its command fail
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def wx(*argv, code=None):
+        cmd = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        cmd += ["-c", code] if code else ["-m", "wxpower"]
+        proc = subprocess.run(cmd + [str(a) for a in argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (argv, proc.stderr)
+
+    synth, imp, splits = tmp_path / "synth", tmp_path / "imp", tmp_path / "splits.txt"
+    cube, power = imp / "cube.wxc", synth / "power.csv"
+    wx("synth", "--out", synth, "--hours", 72, "--grid", 20, "--seed", 5)
+    wx("import", "--manifest", synth / "manifest.csv", "--out", imp)
+    wx("split", "--cube", cube, "--power", power, "--stack", 5, "--seed", 3, "--out", splits)
+    for model in ("resnet", "linear"):
+        wx("train", "--cube", cube, "--power", power, "--splits", splits, "--model", model,
+           "--epochs", 1, "--batch-size", 16, "--out", tmp_path / model)
+    wx("eval", "--checkpoint", tmp_path / "resnet" / "final.wxpm", "--cube", cube,
+       "--power", power, "--splits", splits, "--out", tmp_path / "eval",
+       "--window-start", "2019-01-02T00:00:00", "--window-end", "2019-01-03T00:00:00")
+    wx("saliency", "--checkpoint", tmp_path / "resnet" / "final.wxpm", "--cube", cube,
+       "--index", 36, "--out", tmp_path / "saliency")
+    wx(power, tmp_path / "hourly.csv", code="import sys; from wxpower import data as D; "
+       "D.save_power(D.load_power(sys.argv[1]), sys.argv[2])")
+    assert (tmp_path / "eval" / "window.svg").exists()
+    assert (tmp_path / "saliency" / "wind.pgm").exists()
+    hourly = D.load_power(tmp_path / "hourly.csv")
+    assert (hourly.timestamps == D.load_power(power).timestamps).all()
 
 
 def test_missing_required_setting(tmp_path):

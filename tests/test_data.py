@@ -597,6 +597,16 @@ def test_save_cube_failure_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch)
     assert sorted(x.name for x in tmp_path.iterdir()) == ["cube.wxc"]
 
 
+def test_a_failed_save_text_keeps_the_earlier_file_and_no_temp(tmp_path):
+    p = tmp_path / "notes.txt"
+    D.save_text(p, "first µ\n")
+    assert p.read_bytes() == "first µ\n".encode("utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        D.save_text(p, "\udcc3")  # a lone surrogate has no UTF-8 encoding
+    assert p.read_bytes() == "first µ\n".encode("utf-8")
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["notes.txt"]
+
+
 def test_cube_file_rejects_garbage(tmp_path):
     p = tmp_path / "x.wxc1"
     p.write_bytes(b"JUNKJUNKJUNK")
